@@ -31,8 +31,6 @@ double blocking(std::uint64_t seed, double arrivals_per_hour,
   cfg.with_otn = false;
   cfg.fxc_ports_per_node = 128;
   core::NetworkModel model(&engine, topo.graph, cfg);
-  // A week of Poisson demand emits a huge trace; keep only a ring of it.
-  model.trace().set_capacity(4096);
   // Six access pipes per PoP (24 x 10G of access) so the OT pool and
   // spectrum — not the 4-port NTEs — are what admission control exhausts.
   const CustomerId csp{1};

@@ -70,7 +70,6 @@ ArmResult run_arm(const topology::Graph& graph,
   cfg.fxc_ports_per_node = 128;
   cfg.with_otn = false;
   core::NetworkModel model(&engine, graph, cfg);
-  model.trace().set_capacity(4096);
 
   const CustomerId csp{1};
   std::vector<MuxponderId> ntes;

@@ -112,7 +112,6 @@ struct Testbed {
               }()),
         controller(&model, params),
         portal(&controller, CustomerId{1}, DataRate::gbps(1000000)) {
-    model.trace().set_capacity(4096);
     for (std::size_t k = 0; k < dc_sites.size(); ++k)
       ntes.push_back(
           model.add_customer_site(CustomerId{1}, "DC-" + std::to_string(k),

@@ -356,8 +356,7 @@ int main() {
         }
         file << "{\"metrics\": " << tel.metrics().to_json_rows("shell")
              << ", \"spans\": " << tel.spans().to_json()
-             << ", \"events\": " << tel.events().to_json()
-             << ", \"sim_trace\": " << s.model->trace().to_json() << "}\n";
+             << ", \"events\": " << tel.events().to_json() << "}\n";
         out << "  wrote " << path << "\n";
       } else {
         std::uint64_t id = 0;

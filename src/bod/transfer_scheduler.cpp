@@ -497,9 +497,9 @@ void TransferScheduler::fail_transfer(Transfer& t, const std::string& why) {
   ++stats_.failed;
   count("griphon_bod_transfers_failed_total",
         "Bulk transfers abandoned before completion", t.customer);
-  controller_->model().trace().emit(
-      engine_->now(), sim::TraceLevel::kInfo, "transfer-scheduler",
-      "transfer-failed", "id " + std::to_string(t.id.value()) + ": " + why);
+  if (telemetry::Telemetry* tel = controller_->model().telemetry())
+    tel->event(telemetry::Severity::kWarn, "bod", "transfer-scheduler",
+               "transfer " + std::to_string(t.id.value()) + " failed: " + why);
 }
 
 void TransferScheduler::on_topology_change(const std::vector<LinkId>& links,
@@ -636,11 +636,10 @@ std::size_t TransferScheduler::preempt_for_restoration(
       count("griphon_bod_windows_preempted_total",
             "Best-effort windows preempted by gold restorations",
             t.customer);
-      controller_->model().trace().emit(
-          engine_->now(), sim::TraceLevel::kWarn, "transfer-scheduler",
-          "window-preempted",
-          "transfer " + std::to_string(id.value()) + " piece " +
-              std::to_string(i) + " preempted for gold restoration");
+      if (telemetry::Telemetry* tel = controller_->model().telemetry())
+        tel->event(telemetry::Severity::kWarn, "bod", "transfer-scheduler",
+                   "transfer " + std::to_string(id.value()) + " piece " +
+                       std::to_string(i) + " preempted for gold restoration");
       if (t.state == TransferState::kActive) {
         const bool any_active = std::any_of(
             t.pieces.begin(), t.pieces.end(),

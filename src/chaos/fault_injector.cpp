@@ -321,8 +321,6 @@ double FaultInjector::latency_scale(const std::string& ems) {
 void FaultInjector::record(const std::string& kind,
                            const std::string& detail) {
   log_.push_back(Event{model_->engine().now(), kind, detail});
-  model_->trace().emit(model_->engine().now(), sim::TraceLevel::kInfo,
-                       "chaos", kind, detail);
   if (telemetry_ != nullptr)
     telemetry_->event(telemetry::Severity::kWarn, "fault", "chaos",
                       kind + (detail.empty() ? "" : ": " + detail));

@@ -11,6 +11,9 @@ namespace griphon::core {
 
 namespace {
 
+/// Dialogues in flight per EMS domain on the DAG executor.
+constexpr std::size_t kDagDomainWindow = 4;
+
 Status response_to_status(const Result<proto::Response>& r) {
   if (!r.ok()) return r.error();
   if (r.value().ok()) return Status::success();
@@ -146,12 +149,21 @@ GriphonController::GriphonController(NetworkModel* model, Params params)
               const auto t = times.find(odu);
               if (t != times.end()) c->total_outage += t->second;
             }
-            trace(sim::TraceLevel::kInfo, "otn-restored",
-                  "connection " + std::to_string(c->id.value()));
+            if (telemetry::Telemetry* t = model_->telemetry())
+              t->event(telemetry::Severity::kInfo, "restoration",
+                       "controller",
+                       "connection " + std::to_string(c->id.value()) +
+                           " restored by OTN shared mesh",
+                       telemetry_tag(c->id));
           } else {
             ++stats_.restorations_failed;
-            trace(sim::TraceLevel::kWarn, "otn-restore-failed",
-                  status.error().message());
+            if (telemetry::Telemetry* t = model_->telemetry())
+              t->event(telemetry::Severity::kWarn, "restoration",
+                       "controller",
+                       "connection " + std::to_string(c->id.value()) +
+                           " OTN mesh restoration failed: " +
+                           status.error().message(),
+                       telemetry_tag(c->id));
           }
         });
     model_->mesh_restorer().on_revert_eligible([this](OduCircuitId odu) {
@@ -163,12 +175,6 @@ GriphonController::GriphonController(NetworkModel* model, Params params)
       });
     });
   }
-}
-
-void GriphonController::trace(sim::TraceLevel level, const std::string& event,
-                              const std::string& detail) {
-  model_->trace().emit(model_->engine().now(), level, "controller", event,
-                       detail);
 }
 
 Connection& GriphonController::conn(ConnectionId id) {
@@ -295,9 +301,6 @@ void GriphonController::issue_command(
           // cached response or executes once. A NACK is cached under this
           // id too, so a retryable NACK must go out under a fresh id.
           const std::uint64_t reuse = transport_timeout ? *sent_id : 0;
-          trace(sim::TraceLevel::kInfo, "command-retry",
-                domain_of(client) + " attempt " + std::to_string(attempt) +
-                    ": " + s.error().message());
           if (telemetry::Telemetry* t = model_->telemetry())
             t->event(telemetry::Severity::kWarn, "retry",
                      domain_of(client) + "-ems",
@@ -323,9 +326,7 @@ struct GriphonController::RunState {
   RunDone done;
   std::vector<std::size_t> succeeded;
   Status first_error = Status::success();
-  std::size_t outstanding = 0;       // pipelined mode
   std::uint64_t parent_span = 0;     // 0 = no per-command spans
-  // DAG mode:
   std::unique_ptr<StepDag> dag;
   std::unique_ptr<DagScheduler> sched;
   std::vector<std::string> domains;  // per-step EMS domain
@@ -337,14 +338,6 @@ struct GriphonController::RunState {
 void GriphonController::run_steps(std::shared_ptr<StepList> steps,
                                   bool best_effort, RunDone done,
                                   std::uint64_t parent_span) {
-  run_steps_as(params_.exec_mode, std::move(steps), best_effort,
-               std::move(done), parent_span);
-}
-
-void GriphonController::run_steps_as(ExecMode mode,
-                                     std::shared_ptr<StepList> steps,
-                                     bool best_effort, RunDone done,
-                                     std::uint64_t parent_span) {
   auto state = std::make_shared<RunState>();
   state->steps = std::move(steps);
   state->best_effort = best_effort;
@@ -354,98 +347,20 @@ void GriphonController::run_steps_as(ExecMode mode,
     state->done(Status::success(), {});
     return;
   }
-  switch (mode) {
-    case ExecMode::kSequential:
-      run_steps_sequential(state, 0);
-      break;
-    case ExecMode::kPipelined:
-      run_steps_pipelined(state);
-      break;
-    case ExecMode::kDag:
-      run_steps_dag(state);
-      break;
-  }
-}
-
-void GriphonController::run_steps_sequential(std::shared_ptr<RunState> state,
-                                             std::size_t at) {
-  if (at >= state->steps->size()) {
-    state->done(state->first_error, std::move(state->succeeded));
-    return;
-  }
-  Step& step = (*state->steps)[at];
-  ++stats_.commands_issued;
-  std::uint64_t span = 0;
-  if (state->parent_span != 0) {
-    if (telemetry::Telemetry* t = model_->telemetry()) {
-      const SpanLabel label = span_label(step.forward);
-      span = t->span_start(label.name, label.actor, 0, state->parent_span);
-    }
-  }
-  issue_command(step.client, step.forward, [this, state, at, span](
-                                               Result<proto::Response> r) {
-    const Status s = response_to_status(r);
-    if (span != 0)
-      if (telemetry::Telemetry* t = model_->telemetry())
-        t->span_end(span, s.ok(),
-                    s.ok() ? std::string{} : s.error().message());
-    if (s.ok()) {
-      state->succeeded.push_back(at);
-    } else {
-      if (state->first_error.ok()) state->first_error = s;
-      if (!state->best_effort) {
-        state->done(state->first_error, std::move(state->succeeded));
-        return;
-      }
-    }
-    run_steps_sequential(state, at + 1);
-  });
-}
-
-void GriphonController::run_steps_pipelined(std::shared_ptr<RunState> state) {
-  state->outstanding = state->steps->size();
-  for (std::size_t i = 0; i < state->steps->size(); ++i) {
-    ++stats_.commands_issued;
-    std::uint64_t span = 0;
-    if (state->parent_span != 0) {
-      if (telemetry::Telemetry* t = model_->telemetry()) {
-        const SpanLabel label = span_label((*state->steps)[i].forward);
-        span = t->span_start(label.name, label.actor, 0, state->parent_span);
-      }
-    }
-    issue_command(
-        (*state->steps)[i].client, (*state->steps)[i].forward,
-        [this, state, i, span](Result<proto::Response> r) {
-          const Status s = response_to_status(r);
-          if (span != 0)
-            if (telemetry::Telemetry* t = model_->telemetry())
-              t->span_end(span, s.ok(),
-                          s.ok() ? std::string{} : s.error().message());
-          if (s.ok())
-            state->succeeded.push_back(i);
-          else if (state->first_error.ok())
-            state->first_error = s;
-          if (--state->outstanding == 0) {
-            std::sort(state->succeeded.begin(), state->succeeded.end());
-            state->done(state->first_error, std::move(state->succeeded));
-          }
-        });
-  }
-}
-
-void GriphonController::run_steps_dag(std::shared_ptr<RunState> state) {
-  const StepList& steps = *state->steps;
-  state->dag = std::make_unique<StepDag>(steps);
-  state->domains.reserve(steps.size());
-  for (const Step& s : steps) state->domains.push_back(domain_of(s.client));
+  const StepList& list = *state->steps;
+  state->dag = std::make_unique<StepDag>(
+      params_.exec_mode == ExecMode::kSequential ? StepDag::chain(list.size())
+                                                 : StepDag(list));
+  state->domains.reserve(list.size());
+  for (const Step& s : list) state->domains.push_back(domain_of(s.client));
   state->sched = std::make_unique<DagScheduler>(
-      state->dag.get(), state->domains, params_.dag_domain_window);
+      state->dag.get(), state->domains, kDagDomainWindow);
   state->run_start = model_->engine().now();
   state->report.started_at_s = to_seconds(state->run_start);
-  state->report.steps.resize(steps.size());
-  for (std::size_t i = 0; i < steps.size(); ++i) {
+  state->report.steps.resize(list.size());
+  for (std::size_t i = 0; i < list.size(); ++i) {
     DagStepRecord& rec = state->report.steps[i];
-    rec.name = span_label(steps[i].forward).name;
+    rec.name = span_label(list[i].forward).name;
     rec.domain = state->domains[i];
     rec.deps = state->dag->deps_of(i);
   }
@@ -459,10 +374,11 @@ void GriphonController::pump_dag(const std::shared_ptr<RunState>& state) {
     const Step& step = (*state->steps)[i];
 
     // Batch window: sweep every other ready stateless sibling on the same
-    // EMS into this dialogue — they pay the management overhead once.
+    // EMS into this dialogue — they pay the management overhead once. A
+    // chain never has a second ready step, so sequential runs stay
+    // unbatched.
     std::vector<std::size_t> members{i};
-    if (params_.batch_commands &&
-        std::holds_alternative<proto::PowerBalance>(step.forward)) {
+    if (std::holds_alternative<proto::PowerBalance>(step.forward)) {
       auto peers = state->sched->drain_ready(
           state->domains[i], [&](std::size_t j) {
             return (*state->steps)[j].client == step.client &&
@@ -557,19 +473,12 @@ void GriphonController::rollback_steps(std::shared_ptr<StepList> steps,
   // Reverse completion order with reverse dependency edges: an undo may
   // only run once the undos of everything that depended on its forward
   // step are done (a cross-connect is removed before the port under it is
-  // disabled). The sequential executor honors this by list order; the
-  // pipelined ablation would not, so rollback always runs on the DAG
-  // executor when any concurrency is enabled.
-  auto undo =
-      std::make_shared<StepList>(build_undo_steps(*steps, succeeded));
-  const ExecMode mode = params_.exec_mode == ExecMode::kSequential
-                            ? ExecMode::kSequential
-                            : ExecMode::kDag;
-  run_steps_as(mode, std::move(undo), /*best_effort=*/true,
-               [done = std::move(done)](Status, std::vector<std::size_t>) {
-                 done();
-               },
-               /*parent_span=*/0);
+  // disabled). Both executors honor the edges — the chain by list order.
+  run_steps(std::make_shared<StepList>(build_undo_steps(*steps, succeeded)),
+            /*best_effort=*/true,
+            [done = std::move(done)](Status, std::vector<std::size_t>) {
+              done();
+            });
 }
 
 Status GriphonController::admit_optical_plan(const WavelengthPlan& plan,
@@ -994,9 +903,6 @@ void GriphonController::request_connection(const ConnectionRequest& request,
              "connection " + std::to_string(id.value()) + " requested",
              telemetry_tag(id));
   }
-  trace(sim::TraceLevel::kInfo, "request",
-        "connection " + std::to_string(id.value()) + " rate " +
-            std::to_string(request.rate.in_gbps()) + "G");
   if (connections_[id].kind == ConnectionKind::kWavelength)
     setup_wavelength(id, std::move(cb));
   else
@@ -1025,13 +931,16 @@ void GriphonController::finish_setup(ConnectionId id, Status status,
     m.counter(name, help,
               {{"customer", std::to_string(c->customer.value())}})
         ->inc();
+    const double setup_s =
+        to_seconds(model_->engine().now() - c->requested_at);
     if (status.ok())
       m.histogram("griphon_controller_setup_seconds",
                   "Request to traffic-flowing, end to end")
-          ->observe(to_seconds(model_->engine().now() - c->requested_at));
+          ->observe(setup_s);
     if (status.ok())
       t->event(telemetry::Severity::kInfo, "lifecycle", "controller",
-               "connection " + std::to_string(id.value()) + " active",
+               "connection " + std::to_string(id.value()) + " active after " +
+                   std::to_string(setup_s) + "s",
                telemetry_tag(id));
     else
       t->event(telemetry::Severity::kWarn, "lifecycle", "controller",
@@ -1044,9 +953,6 @@ void GriphonController::finish_setup(ConnectionId id, Status status,
     c->active_at = model_->engine().now();
     c->setup_duration = c->active_at - c->requested_at;
     ++stats_.setups_ok;
-    trace(sim::TraceLevel::kInfo, "setup-done",
-          "connection " + std::to_string(id.value()) + " in " +
-              std::to_string(to_seconds(c->setup_duration)) + "s");
     // A fiber may have died *while* the command train was running; the
     // commands themselves still succeed (devices accept configuration on a
     // dark degree). Treat the connection as failed-at-birth and let the
@@ -1065,7 +971,6 @@ void GriphonController::finish_setup(ConnectionId id, Status status,
     release_nte_port(c->src_site, c->src_nte_port);
     release_nte_port(c->dst_site, c->dst_nte_port);
     ++stats_.setups_failed;
-    trace(sim::TraceLevel::kWarn, "setup-failed", status.error().message());
     cb(status.error());
   }
 }
@@ -1230,8 +1135,11 @@ void GriphonController::send_otn_create(ConnectionId id, SetupCallback cb,
               c != nullptr) {
             // The OTN layer is out of tributary capacity on this relation:
             // groom a fresh OTU carrier onto the DWDM layer, then retry.
-            trace(sim::TraceLevel::kInfo, "otn-groom",
-                  "no OTN capacity; provisioning a new carrier");
+            if (telemetry::Telemetry* t = model_->telemetry())
+              t->event(telemetry::Severity::kInfo, "grooming", "controller",
+                       "connection " + std::to_string(id.value()) +
+                           ": no OTN capacity; provisioning a new carrier",
+                       telemetry_tag(id));
             groom_new_carrier(
                 c->src_pop, c->dst_pop,
                 [this, id, cb = std::move(cb)](Status gs) mutable {
@@ -1368,9 +1276,10 @@ void GriphonController::groom_new_carrier(NodeId a, NodeId b,
               }
               ++carriers_groomed_;
               groomed_plans_[carrier.value()] = wplan;
-              trace(sim::TraceLevel::kInfo, "carrier-groomed",
-                    "new OTU carrier " +
-                        std::to_string(carrier.value().value()));
+              if (telemetry::Telemetry* t = model_->telemetry())
+                t->event(telemetry::Severity::kInfo, "grooming", "controller",
+                         "new OTU carrier " +
+                             std::to_string(carrier.value().value()));
               cb(Status::success());
             });
 }
@@ -1402,8 +1311,12 @@ void GriphonController::decommission_idle_carriers(DoneCallback cb) {
     run_steps(steps, /*best_effort=*/true,
               [this, carrier_id, remaining, cb](Status,
                                                 std::vector<std::size_t>) {
-                trace(sim::TraceLevel::kInfo, "carrier-decommissioned",
-                      "OTU carrier " + std::to_string(carrier_id.value()));
+                if (telemetry::Telemetry* t = model_->telemetry())
+                  t->event(telemetry::Severity::kInfo, "grooming",
+                           "controller",
+                           "OTU carrier " +
+                               std::to_string(carrier_id.value()) +
+                               " decommissioned");
                 kick_restoration_backlog();
                 if (--*remaining == 0) cb(Status::success());
               });
@@ -1462,8 +1375,6 @@ void GriphonController::release_connection(ConnectionId id, DoneCallback cb) {
                "connection " + std::to_string(id.value()) + " released",
                telemetry_tag(id));
     }
-    trace(sim::TraceLevel::kInfo, "released",
-          "connection " + std::to_string(id.value()));
     // The teardown freed channels and devices — capacity a backlogged
     // restoration may have been starving for.
     kick_restoration_backlog();
@@ -1534,8 +1445,10 @@ void GriphonController::handle_alarm_frame(const proto::Frame& frame) {
     // The EMS lost its command queues and response cache in the crash;
     // device state may have diverged from the inventory. Audit once the
     // control plane quiets down.
-    trace(sim::TraceLevel::kWarn, "ems-restart",
-          ev->alarm.source + ": scheduling reconciliation audit");
+    if (telemetry::Telemetry* t = model_->telemetry())
+      t->event(telemetry::Severity::kWarn, "resync", "controller",
+               ev->alarm.source +
+                   " restarted: scheduling reconciliation audit");
     schedule_resync();
     return;
   }
@@ -1548,8 +1461,6 @@ void GriphonController::mark_failed(Connection& c) {
     return;
   c.state = ConnectionState::kFailed;
   c.outage_started_at = model_->engine().now();
-  trace(sim::TraceLevel::kWarn, "outage",
-        "connection " + std::to_string(c.id.value()));
   if (telemetry::Telemetry* t = model_->telemetry())
     t->event(telemetry::Severity::kWarn, "lifecycle", "controller",
              "connection " + std::to_string(c.id.value()) +
@@ -1566,9 +1477,6 @@ void GriphonController::mark_recovered(Connection& c) {
   // Service is back — retire the retry-backlog entry (if any) so a stale
   // backoff timer cannot relaunch a restoration of a healthy connection.
   if (restore_backlog_.erase(c.id) != 0) update_restoration_gauges();
-  trace(sim::TraceLevel::kInfo, "recovered",
-        "connection " + std::to_string(c.id.value()) + " outage " +
-            std::to_string(to_seconds(c.total_outage)) + "s total");
   if (telemetry::Telemetry* t = model_->telemetry())
     t->event(telemetry::Severity::kInfo, "lifecycle", "controller",
              "connection " + std::to_string(c.id.value()) + " recovered (" +
@@ -1585,9 +1493,6 @@ void GriphonController::on_links_failed(
     // was designed for. The flag holds until the pipeline drains; reopt
     // campaigns stand down while it is up.
     storm_active_ = true;
-    trace(sim::TraceLevel::kWarn, "storm-start",
-          std::to_string(links.size()) + " link(s) across " +
-              std::to_string(event.conduits) + " conduit(s)");
     if (telemetry::Telemetry* t = model_->telemetry()) {
       t->metrics()
           .counter("griphon_restoration_storms_total",
@@ -1625,8 +1530,12 @@ void GriphonController::on_links_failed(
             c->traffic_on_standby = !c->traffic_on_standby;
             ++c->restorations;
             mark_recovered(*c);
-            trace(sim::TraceLevel::kInfo, "1+1-switch",
-                  "connection " + std::to_string(cid.value()));
+            if (telemetry::Telemetry* t = model_->telemetry())
+              t->event(telemetry::Severity::kInfo, "restoration",
+                       "controller",
+                       "connection " + std::to_string(cid.value()) +
+                           " switched to its 1+1 protection leg",
+                       telemetry_tag(cid));
           });
         }
       } else if (c.protection == ProtectionMode::kRestorable &&
@@ -1680,8 +1589,12 @@ void GriphonController::on_links_repaired(const std::vector<LinkId>& links) {
               return;
             cc->traffic_on_standby = !cc->traffic_on_standby;
             mark_recovered(*cc);
-            trace(sim::TraceLevel::kInfo, "1+1-switch-back",
-                  "connection " + std::to_string(cid.value()));
+            if (telemetry::Telemetry* t = model_->telemetry())
+              t->event(telemetry::Severity::kInfo, "restoration",
+                       "controller",
+                       "connection " + std::to_string(cid.value()) +
+                           " switched back to its repaired 1+1 leg",
+                       telemetry_tag(cid));
           });
         }
       }
@@ -1784,13 +1697,11 @@ void GriphonController::backlog_restoration(ConnectionId id,
     // so a permanently unroutable connection cannot keep the event loop
     // (or a drain-to-idle test) alive forever.
     e.dormant = true;
-    trace(sim::TraceLevel::kWarn, "restore-backlog-dormant",
-          "connection " + std::to_string(id.value()) + " after " +
-              std::to_string(e.attempts - 1) + " timed retries: " + why);
     if (telemetry::Telemetry* t = model_->telemetry())
       t->event(telemetry::Severity::kWarn, "restoration", "controller",
                "connection " + std::to_string(id.value()) +
-                   " backlog dormant: " + why,
+                   " backlog dormant after " +
+                   std::to_string(e.attempts - 1) + " timed retries: " + why,
                telemetry_tag(id));
     update_restoration_gauges();
     maybe_clear_storm();
@@ -1798,10 +1709,12 @@ void GriphonController::backlog_restoration(ConnectionId id,
   }
   e.dormant = false;
   const SimTime delay = restoration_retry_delay(e.attempts);
-  trace(sim::TraceLevel::kInfo, "restore-backlog",
-        "connection " + std::to_string(id.value()) + " retry #" +
-            std::to_string(e.attempts) + " in " +
-            std::to_string(to_seconds(delay)) + "s: " + why);
+  if (telemetry::Telemetry* t = model_->telemetry())
+    t->event(telemetry::Severity::kInfo, "restoration", "controller",
+             "connection " + std::to_string(id.value()) +
+                 " backlogged, retry #" + std::to_string(e.attempts) +
+                 " in " + std::to_string(to_seconds(delay)) + "s",
+             telemetry_tag(id));
   model_->engine().schedule(delay, [this, id, gen]() {
     const auto it = restore_backlog_.find(id);
     if (it == restore_backlog_.end() || it->second.generation != gen ||
@@ -1844,8 +1757,6 @@ void GriphonController::maybe_clear_storm() {
   for (const auto& [id, e] : restore_backlog_)
     if (!e.dormant) return;  // an armed retry still owns the storm
   storm_active_ = false;
-  trace(sim::TraceLevel::kInfo, "storm-cleared",
-        "restoration pipeline drained");
   if (telemetry::Telemetry* t = model_->telemetry())
     t->event(telemetry::Severity::kInfo, "restoration", "controller",
              "restoration storm cleared (pipeline drained)");
@@ -1878,12 +1789,15 @@ void GriphonController::restore_wavelength(ConnectionId id,
     return;
   }
   c0->state = ConnectionState::kRestoring;
-  trace(sim::TraceLevel::kInfo, "restore-start",
-        "connection " + std::to_string(id.value()));
   const SimTime restore_started = model_->engine().now();
-  if (telemetry::Telemetry* t = model_->telemetry())
+  if (telemetry::Telemetry* t = model_->telemetry()) {
     c0->op_span =
         t->span_start("restoration", "controller", telemetry_tag(id), 0);
+    t->event(telemetry::Severity::kInfo, "restoration", "controller",
+             "connection " + std::to_string(id.value()) +
+                 " restoration started",
+             telemetry_tag(id));
+  }
   // Ends the restoration root span + counts the attempt, on every exit.
   auto close_restore = [this, id, restore_started](bool ok,
                                                    const std::string& why) {
@@ -1943,7 +1857,6 @@ void GriphonController::restore_wavelength(ConnectionId id,
         ++stats_.restorations_failed;
         if (Connection* cc = find_conn(id); cc != nullptr)
           cc->state = ConnectionState::kFailed;
-        trace(sim::TraceLevel::kError, "restore-failed", why);
         backlog_restoration(id, why);
         close_restore(false, why);
         done();
@@ -1966,16 +1879,18 @@ void GriphonController::restore_wavelength(ConnectionId id,
         plan = rwa_.plan(c->src_pop, c->dst_pop, c->rate, avoid);
         if (plan.ok()) {
           ++stats_.restorations_non_diverse;
-          trace(sim::TraceLevel::kWarn, "restore-non-diverse",
-                "connection " + std::to_string(id.value()) +
-                    ": no SRLG-diverse route; restoring onto a conduit "
-                    "sibling");
-          if (telemetry::Telemetry* t = model_->telemetry())
+          if (telemetry::Telemetry* t = model_->telemetry()) {
             t->metrics()
                 .counter("griphon_restoration_non_diverse_total",
                          "Restorations that fell back to a non-SRLG-"
                          "diverse path")
                 ->inc();
+            t->event(telemetry::Severity::kWarn, "restoration", "controller",
+                     "connection " + std::to_string(id.value()) +
+                         ": no SRLG-diverse route; restoring onto a conduit "
+                         "sibling",
+                     telemetry_tag(id));
+          }
         }
       }
       if (telemetry::Telemetry* t = model_->telemetry())
@@ -1997,10 +1912,6 @@ void GriphonController::restore_wavelength(ConnectionId id,
             const std::size_t freed = preemption_hook_(
                 c->src_pop, c->dst_pop, c->rate, avoid.links);
             stats_.bod_windows_preempted += freed;
-            trace(sim::TraceLevel::kWarn, "restore-preempt",
-                  "connection " + std::to_string(id.value()) +
-                      " preempted " + std::to_string(freed) +
-                      " best-effort BoD window(s)");
             if (telemetry::Telemetry* t = model_->telemetry()) {
               t->metrics()
                   .counter("griphon_restoration_preemptions_total",
@@ -2055,8 +1966,6 @@ void GriphonController::restore_wavelength(ConnectionId id,
                     ++c->restorations;
                     ++stats_.restorations_ok;
                     mark_recovered(*c);
-                    trace(sim::TraceLevel::kInfo, "restore-done",
-                          "connection " + std::to_string(id.value()));
                     close_restore(true, {});
                   } else {
                     ++stats_.restorations_failed;
@@ -2070,7 +1979,6 @@ void GriphonController::restore_wavelength(ConnectionId id,
                       // cleanup.
                       backlog_restoration(id, why);
                     });
-                    trace(sim::TraceLevel::kError, "restore-failed", why);
                     close_restore(false, why);
                   }
                   done();
@@ -2299,9 +2207,11 @@ void GriphonController::roll_to_plan(ConnectionId id,
               .counter("griphon_controller_rolls_ok_total",
                        "Bridge-and-roll operations completed")
               ->inc();
+          t->event(telemetry::Severity::kInfo, "lifecycle", "controller",
+                   "connection " + std::to_string(id.value()) +
+                       " rolled onto its new path",
+                   telemetry_tag(id));
         }
-        trace(sim::TraceLevel::kInfo, "roll-done",
-              "connection " + std::to_string(id.value()));
         // The old path's release is a capacity-freeing event (reopt moves
         // drain fragmented spectrum a backlogged restoration may need).
         kick_restoration_backlog();
@@ -2594,8 +2504,9 @@ void GriphonController::try_auto_resync() {
     } else {
       // Never went quiet; stand down. The next restart alarm re-arms us.
       resync_scheduled_ = false;
-      trace(sim::TraceLevel::kWarn, "resync-abandoned",
-            "control plane never quiesced");
+      if (telemetry::Telemetry* t = model_->telemetry())
+        t->event(telemetry::Severity::kWarn, "resync", "controller",
+                 "audit abandoned: control plane never quiesced");
     }
     return;
   }
@@ -2835,12 +2746,6 @@ void GriphonController::do_resync(
                  " drift=" + std::to_string(report->drifted_connections) +
                  " repairs=" + std::to_string(report->repair_commands));
   }
-  trace(report->repair_commands == 0 ? sim::TraceLevel::kInfo
-                                     : sim::TraceLevel::kWarn,
-        "resync",
-        "leaks=" + std::to_string(report->total_leaks()) +
-            " drift=" + std::to_string(report->drifted_connections) +
-            " repairs=" + std::to_string(report->repair_commands));
   if (repair->empty()) {
     done(*report);
     return;

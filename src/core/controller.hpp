@@ -14,9 +14,8 @@
 // builders, independent commands overlap under a bounded per-EMS-domain
 // window, and same-domain stateless commands coalesce into one batched
 // dialogue. `ExecMode::kSequential` reproduces the 2011 testbed behaviour
-// (one dialogue at a time — this is what makes setup take 60-70 s);
-// `kPipelined` is the everything-at-once ablation for the §4 "DWDM layer
-// management" challenge, kept for comparison.
+// (one dialogue at a time — this is what makes setup take 60-70 s) on the
+// same executor, run over a chain where step i depends only on step i-1.
 #pragma once
 
 #include <functional>
@@ -38,7 +37,6 @@ namespace griphon::core {
 /// How a command train is pushed to the element managers.
 enum class ExecMode : std::uint8_t {
   kSequential = 0,  ///< one dialogue at a time (2011 testbed baseline)
-  kPipelined = 1,   ///< everything at once, ordering ignored (ablation)
   kDag = 2,         ///< dependency DAG with per-domain windows (default)
 };
 
@@ -47,11 +45,6 @@ class GriphonController {
   struct Params {
     RwaEngine::Params rwa{};
     ExecMode exec_mode = ExecMode::kDag;
-    /// kDag: max dialogues in flight per EMS domain.
-    std::size_t dag_domain_window = 4;
-    /// kDag: coalesce ready same-domain stateless commands (power
-    /// balancing) into one batched dialogue paying one overhead.
-    bool batch_commands = true;
     FailureManager::Params failure{};
     /// Route computation time inside the controller.
     LatencyModel path_computation =
@@ -300,9 +293,9 @@ class GriphonController {
   /// executor to that.
   [[nodiscard]] std::string device_state_digest() const;
 
-  /// Execution report of the most recent DAG-mode command train (setup,
-  /// teardown, restore...), for the shell's `dag` view. Empty steps when no
-  /// DAG train has run yet.
+  /// Execution report of the most recent command train (setup, teardown,
+  /// restore...), for the shell's `dag` view. Empty steps when no train
+  /// has run yet.
   [[nodiscard]] const StepDagReport& last_dag_report() const noexcept {
     return last_dag_report_;
   }
@@ -315,21 +308,13 @@ class GriphonController {
   // the indices of steps that succeeded (rollback input).
   using RunDone = std::function<void(Status, std::vector<std::size_t>)>;
   struct RunState;
-  /// Execute a command list under params_.exec_mode (see ExecMode).
+  /// Execute a command list on the DAG executor: the builders' edges
+  /// under kDag, a chain under kSequential (see ExecMode).
   /// `best_effort` keeps going past failures (teardown paths). A non-zero
   /// `parent_span` wraps every command in a child telemetry span (named
   /// after the command, e.g. "ot.tune"), inheriting the parent's tag.
   void run_steps(std::shared_ptr<StepList> steps, bool best_effort,
                  RunDone done, std::uint64_t parent_span = 0);
-  /// Same, with an explicit executor (rollback forces the DAG executor
-  /// under kPipelined so reverse ordering holds; everything else goes
-  /// through run_steps).
-  void run_steps_as(ExecMode mode, std::shared_ptr<StepList> steps,
-                    bool best_effort, RunDone done,
-                    std::uint64_t parent_span);
-  void run_steps_sequential(std::shared_ptr<RunState> state, std::size_t at);
-  void run_steps_pipelined(std::shared_ptr<RunState> state);
-  void run_steps_dag(std::shared_ptr<RunState> state);
   void pump_dag(const std::shared_ptr<RunState>& state);
   void finish_dag(const std::shared_ptr<RunState>& state);
   /// Issue one EMS command with circuit-breaker check and bounded
@@ -417,8 +402,6 @@ class GriphonController {
   [[nodiscard]] Connection* find_conn(ConnectionId id);
   [[nodiscard]] Result<std::size_t> pick_free_nte_port(MuxponderId nte);
   void release_nte_port(MuxponderId nte, std::size_t port);
-  void trace(sim::TraceLevel level, const std::string& event,
-             const std::string& detail);
 
   NetworkModel* model_;
   Params params_;

@@ -39,8 +39,7 @@ NetworkModel::NetworkModel(sim::Engine* engine, topology::Graph graph,
     chan = std::make_unique<proto::ControlChannel>(engine_,
                                                    config_.channel_params);
     server = std::make_unique<ems::EmsServer>(engine_, &chan->b(),
-                                              config_.ems_profile, name,
-                                              &trace_);
+                                              config_.ems_profile, name);
     proto::RequestClient::Params params;
     params.timeout = seconds(30);  // optical tasks run for many seconds
     params.max_attempts = 4;
@@ -255,9 +254,9 @@ void NetworkModel::fail_link(LinkId link) {
         .counter("griphon_plant_fiber_cuts_total", "Fiber cuts injected")
         ->inc();
     telemetry_->note_link_failed(link.value());
+    telemetry_->event(telemetry::Severity::kWarn, "plant", "plant",
+                      "fiber cut on " + graph_.link(link).name);
   }
-  trace_.emit(engine_->now(), sim::TraceLevel::kWarn, "plant", "fiber-cut",
-              graph_.link(link).name);
   const auto& l = graph_.link(link);
   roadm_at(l.a).on_link_failed(link, engine_->now());
   roadm_at(l.b).on_link_failed(link, engine_->now());
@@ -271,13 +270,14 @@ void NetworkModel::repair_link(LinkId link) {
   link_failed_[link.value()] = false;
   ++topology_version_;
   journal_topology_change(link, /*failed=*/false);
-  if (telemetry_ != nullptr)
+  if (telemetry_ != nullptr) {
     telemetry_
         ->metrics()
         .counter("griphon_plant_fiber_repairs_total", "Fiber repairs")
         ->inc();
-  trace_.emit(engine_->now(), sim::TraceLevel::kInfo, "plant", "fiber-repair",
-              graph_.link(link).name);
+    telemetry_->event(telemetry::Severity::kInfo, "plant", "plant",
+                      "fiber repaired on " + graph_.link(link).name);
+  }
   const auto& l = graph_.link(link);
   roadm_at(l.a).on_link_restored(link, engine_->now());
   roadm_at(l.b).on_link_restored(link, engine_->now());

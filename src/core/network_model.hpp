@@ -29,7 +29,6 @@
 #include "proto/channel.hpp"
 #include "proto/client.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 #include "topology/graph.hpp"
 
 namespace griphon::telemetry {
@@ -75,7 +74,6 @@ class NetworkModel {
     return graph_;
   }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
-  [[nodiscard]] sim::Trace& trace() noexcept { return trace_; }
 
   /// Attach a telemetry sink to the whole deployment: the plant itself,
   /// the four EMS servers and the OTN mesh restorer start recording;
@@ -225,7 +223,6 @@ class NetworkModel {
   sim::Engine* engine_;
   topology::Graph graph_;
   Config config_;
-  sim::Trace trace_;
   dwdm::WavelengthGrid grid_;
   dwdm::ReachModel reach_;
 

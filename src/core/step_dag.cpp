@@ -31,6 +31,17 @@ StepDag::StepDag(const StepList& steps) {
   }
 }
 
+StepDag StepDag::chain(std::size_t n) {
+  StepDag dag;
+  dag.deps_.resize(n);
+  dag.dependents_.resize(n);
+  for (std::size_t i = 1; i < n; ++i) {
+    dag.deps_[i].push_back(i - 1);
+    dag.dependents_[i - 1].push_back(i);
+  }
+  return dag;
+}
+
 StepList build_undo_steps(const StepList& steps,
                           const std::vector<std::size_t>& succeeded) {
   const StepDag dag(steps);

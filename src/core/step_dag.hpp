@@ -47,6 +47,10 @@ using StepList = std::vector<Step>;
 class StepDag {
  public:
   explicit StepDag(const StepList& steps);
+  /// The strict chain over `n` steps: step i depends only on step i-1.
+  /// Implies every builder and same-element edge, so running it is the
+  /// one-dialogue-at-a-time sequential train.
+  [[nodiscard]] static StepDag chain(std::size_t n);
 
   [[nodiscard]] std::size_t size() const noexcept { return deps_.size(); }
   [[nodiscard]] const std::vector<std::size_t>& deps_of(
@@ -59,6 +63,8 @@ class StepDag {
   }
 
  private:
+  StepDag() = default;
+
   std::vector<std::vector<std::size_t>> deps_;
   std::vector<std::vector<std::size_t>> dependents_;
 };

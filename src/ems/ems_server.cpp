@@ -17,10 +17,9 @@ auto* find_device(MapT& map, std::uint64_t id) {
 }  // namespace
 
 EmsServer::EmsServer(sim::Engine* engine, proto::Endpoint* endpoint,
-                     EmsLatencyProfile profile, std::string name,
-                     sim::Trace* trace)
+                     EmsLatencyProfile profile, std::string name)
     : engine_(engine), endpoint_(endpoint), profile_(profile),
-      name_(std::move(name)), trace_(trace) {
+      name_(std::move(name)) {
   endpoint_->on_receive(
       [this](const proto::Bytes& bytes) { handle_frame(bytes); });
 }
@@ -83,12 +82,6 @@ void EmsServer::set_telemetry(telemetry::Telemetry* telemetry) {
                               "Management overhead + optical task time");
 }
 
-void EmsServer::trace(const std::string& event, const std::string& detail) {
-  if (trace_ != nullptr)
-    trace_->emit(engine_->now(), sim::TraceLevel::kDebug, name_, event,
-                 detail);
-}
-
 void EmsServer::forward_alarm(const Alarm& alarm) {
   const SimTime delay = profile_.alarm_notify.sample(engine_->rng());
   const proto::Bytes frame =
@@ -98,7 +91,6 @@ void EmsServer::forward_alarm(const Alarm& alarm) {
     endpoint_->send(frame);
   });
   if (alarms_forwarded_total_ != nullptr) alarms_forwarded_total_->inc();
-  trace("alarm-forwarded", alarm.source);
 }
 
 void EmsServer::crash_restart(SimTime restart_after) {
@@ -110,11 +102,15 @@ void EmsServer::crash_restart(SimTime restart_after) {
   in_flight_requests_.clear();
   cache_flush();
   if (crashes_total_ != nullptr) crashes_total_->inc();
-  trace("crash", "restart in " + std::to_string(to_seconds(restart_after)) +
-                     "s");
+  if (telemetry_ != nullptr)
+    telemetry_->event(telemetry::Severity::kWarn, "ems", name_,
+                      "crashed; restart in " +
+                          std::to_string(to_seconds(restart_after)) + "s");
   engine_->schedule(restart_after, [this]() {
     down_ = false;
-    trace("restart", name_);
+    if (telemetry_ != nullptr)
+      telemetry_->event(telemetry::Severity::kInfo, "ems", name_,
+                        "restarted");
     Alarm a;
     a.type = AlarmType::kEmsRestart;
     a.raised_at = engine_->now();
@@ -172,14 +168,19 @@ void EmsServer::handle_frame(const proto::Bytes& bytes) {
   if (down_) return;  // crashed: frames fall on the floor, clients time out
   auto frame = proto::decode_frame(bytes);
   if (!frame.ok()) {
-    trace("bad-frame", frame.error().message());
+    if (telemetry_ != nullptr)
+      telemetry_->event(telemetry::Severity::kWarn, "ems", name_,
+                        "bad frame dropped: " + frame.error().message());
     return;
   }
   const std::uint64_t id = frame.value().request_id;
   // Retransmission? Replay the cached response without re-executing.
   if (const auto cached = cache_lookup(id)) {
     endpoint_->send(proto::encode_frame(id, proto::Message{*cached}));
-    trace("replayed-response", std::to_string(id));
+    if (telemetry_ != nullptr)
+      telemetry_->event(telemetry::Severity::kInfo, "ems", name_,
+                        "replayed cached response to request " +
+                            std::to_string(id));
     return;
   }
   // Already queued or executing (retry raced the dialogue)? Drop it.
@@ -213,7 +214,9 @@ void EmsServer::pump(std::uint64_t device) {
     if (!injected.ok()) {
       // Transient NACK: the management plane rejects after its overhead,
       // without touching the device.
-      trace("nack-injected", injected.error().message());
+      if (telemetry_ != nullptr)
+        telemetry_->event(telemetry::Severity::kWarn, "ems", name_,
+                          "injected NACK: " + injected.error().message());
       engine_->schedule(overhead, [this, cmd, device, epoch, injected]() {
         if (epoch != boot_epoch_) return;  // EMS crashed meanwhile
         respond(cmd.request_id, injected, 0);
@@ -228,7 +231,6 @@ void EmsServer::pump(std::uint64_t device) {
     queue_wait_seconds_->observe(to_seconds(engine_->now() - cmd.enqueued_at));
     task_seconds_->observe(to_seconds(overhead + task));
   }
-  trace("execute", std::string(proto::name_of(proto::type_of(cmd.message))));
   engine_->schedule(overhead + task, [this, cmd, device, epoch]() {
     if (epoch != boot_epoch_) return;  // EMS crashed mid-dialogue
     execute(cmd);

@@ -33,7 +33,6 @@
 #include "proto/channel.hpp"
 #include "proto/messages.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace griphon::telemetry {
 class Telemetry;
@@ -60,8 +59,7 @@ class EmsFaultHook {
 class EmsServer {
  public:
   EmsServer(sim::Engine* engine, proto::Endpoint* endpoint,
-            EmsLatencyProfile profile, std::string name,
-            sim::Trace* trace = nullptr);
+            EmsLatencyProfile profile, std::string name);
 
   // --- device inventory (non-owning; devices outlive the EMS) -----------
   void manage_fxc(fxc::Fxc* device);
@@ -134,7 +132,6 @@ class EmsServer {
   [[nodiscard]] Status apply(const proto::Message& m, std::uint64_t* aux);
   void respond(std::uint64_t request_id, const Status& status,
                std::uint64_t aux);
-  void trace(const std::string& event, const std::string& detail);
 
   /// Cached response for a request id, refreshing its LRU recency.
   [[nodiscard]] std::optional<proto::Response> cache_lookup(std::uint64_t id)
@@ -148,7 +145,6 @@ class EmsServer {
   proto::Endpoint* endpoint_;
   EmsLatencyProfile profile_;
   std::string name_;
-  sim::Trace* trace_;
 
   std::map<std::uint64_t, fxc::Fxc*> fxcs_;
   std::map<std::uint64_t, dwdm::Roadm*> roadms_;

@@ -625,7 +625,6 @@ struct SoakOutcome {
 SoakOutcome run_chaos_soak(std::uint64_t seed, const FaultPlan& plan) {
   SoakOutcome out;
   core::TestbedScenario s(seed);
-  s.model->trace().set_capacity(4096);
   telemetry::Telemetry tel(&s.engine);
   s.model->attach_telemetry(&tel);
 

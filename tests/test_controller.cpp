@@ -464,25 +464,17 @@ TEST(Portal, ListShowsCustomerView) {
 }
 
 TEST(Controller, ExecModesOrderedByConcurrency) {
-  GriphonController::Params pipelined;
-  pipelined.exec_mode = ExecMode::kPipelined;
   TestbedScenario seq(64, NetworkModel::Config{}, sequential_params());
   TestbedScenario dag(64);  // default params: DAG executor
-  TestbedScenario par(64, NetworkModel::Config{}, pipelined);
   const auto a = connect_sync(seq, seq.site_i, seq.site_iv, rates::k10G,
                               ProtectionMode::kRestorable);
   const auto d = connect_sync(dag, dag.site_i, dag.site_iv, rates::k10G,
                               ProtectionMode::kRestorable);
-  const auto b = connect_sync(par, par.site_i, par.site_iv, rates::k10G,
-                              ProtectionMode::kRestorable);
   const double t_seq = to_seconds(seq.controller->connection(a).setup_duration);
   const double t_dag = to_seconds(dag.controller->connection(d).setup_duration);
-  const double t_par = to_seconds(par.controller->connection(b).setup_duration);
   // The DAG executor overlaps everything the dependency edges allow and
-  // must land well under the sequential train; the ordering-blind
-  // pipelined ablation is the (unsafe) lower bound it cannot beat.
+  // must land well under the sequential chain.
   EXPECT_LT(t_dag, t_seq * 0.7);
-  EXPECT_LE(t_par, t_dag);
   // Same final device state no matter the executor.
   EXPECT_EQ(seq.controller->device_state_digest(),
             dag.controller->device_state_digest());
@@ -521,39 +513,42 @@ struct RollbackOrderProbe final : ems::EmsFaultHook {
   }
 };
 
-TEST(Controller, RollbackRespectsReverseDependenciesUnderPipelined) {
-  // Regression: the ordering-blind pipelined executor used to run the undo
-  // train the same way it ran the forward train — every command at once —
-  // so an NTE client port could be disabled while its FXC cross-connect
-  // was still up. Rollback must always run dependency-ordered (undo edges
-  // are the forward edges reversed), whatever the forward executor was.
-  GriphonController::Params params;
-  params.exec_mode = ExecMode::kPipelined;
-  TestbedScenario s(66, NetworkModel::Config{}, params);
-  RollbackOrderProbe probe(&s.engine);
-  s.model->fxc_ems().set_fault_hook(&probe);
-  s.model->roadm_ems().set_fault_hook(&probe);
-  s.model->nte_ems().set_fault_hook(&probe);
+TEST(Controller, RollbackRespectsReverseDependencies) {
+  // Regression: an ordering-blind executor once ran the undo train the
+  // same way it ran the forward train — every command at once — so an NTE
+  // client port could be disabled while its FXC cross-connect was still
+  // up. Rollback must run dependency-ordered (undo edges are the forward
+  // edges reversed) under every executor.
+  for (const ExecMode mode : {ExecMode::kSequential, ExecMode::kDag}) {
+    SCOPED_TRACE(mode == ExecMode::kSequential ? "sequential" : "dag");
+    GriphonController::Params params;
+    params.exec_mode = mode;
+    TestbedScenario s(66, NetworkModel::Config{}, params);
+    RollbackOrderProbe probe(&s.engine);
+    s.model->fxc_ems().set_fault_hook(&probe);
+    s.model->roadm_ems().set_fault_hook(&probe);
+    s.model->nte_ems().set_fault_hook(&probe);
 
-  std::optional<Result<ConnectionId>> result;
-  s.portal->connect(s.site_i, s.site_iv, rates::k10G,
-                    ProtectionMode::kUnprotected,
-                    [&](Result<ConnectionId> r) { result = std::move(r); });
-  s.engine.run();
-  ASSERT_TRUE(result.has_value());
-  ASSERT_FALSE(result->ok());  // the vetoed activation failed the setup
+    std::optional<Result<ConnectionId>> result;
+    s.portal->connect(s.site_i, s.site_iv, rates::k10G,
+                      ProtectionMode::kUnprotected,
+                      [&](Result<ConnectionId> r) { result = std::move(r); });
+    s.engine.run();
+    ASSERT_TRUE(result.has_value());
+    ASSERT_FALSE(result->ok());  // the vetoed activation failed the setup
 
-  // The rollback ran both access undo dialogues, and the NTE disable
-  // waited for the (slowed, ~3 s) FXC disconnect to finish. An unordered
-  // undo train starts both dialogues at the same instant.
-  ASSERT_TRUE(probe.fxc_disconnect_at.has_value());
-  ASSERT_TRUE(probe.nte_disable_at.has_value());
-  EXPECT_GT(to_seconds(*probe.nte_disable_at - *probe.fxc_disconnect_at),
-            2.0);
-  // Devices are clean after the rollback.
-  EXPECT_EQ(s.model->fxc_at(s.topo.i).active_connections(), 0u);
-  EXPECT_EQ(s.model->nte(s.site_i).ports_in_use(), 0u);
-  EXPECT_EQ(s.model->roadm_at(s.topo.i).active_uses(), 0u);
+    // The rollback ran both access undo dialogues, and the NTE disable
+    // waited for the (slowed, ~3 s) FXC disconnect to finish. An unordered
+    // undo train starts both dialogues at the same instant.
+    ASSERT_TRUE(probe.fxc_disconnect_at.has_value());
+    ASSERT_TRUE(probe.nte_disable_at.has_value());
+    EXPECT_GT(to_seconds(*probe.nte_disable_at - *probe.fxc_disconnect_at),
+              2.0);
+    // Devices are clean after the rollback.
+    EXPECT_EQ(s.model->fxc_at(s.topo.i).active_connections(), 0u);
+    EXPECT_EQ(s.model->nte(s.site_i).ports_in_use(), 0u);
+    EXPECT_EQ(s.model->roadm_at(s.topo.i).active_uses(), 0u);
+  }
 }
 
 TEST(Controller, StatsTrackOutcomes) {

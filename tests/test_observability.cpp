@@ -92,6 +92,21 @@ TEST(EventLog, RingBoundsAndCountsDrops) {
   EXPECT_EQ(log.dropped_count(), 0u);
 }
 
+// The event log is the simulator's single trace stream; its JSON export
+// escapes messages per RFC 8259: quotes, newlines and raw control
+// characters never reach the JSON unescaped.
+TEST(Trace, JsonEscapesControlCharacters) {
+  EventLog log;
+  log.log(seconds(1), Severity::kInfo, "plant", "plant",
+          std::string("cut \"I-IV\"\nbell\x07tab\tend"));
+  const std::string json = log.to_json();
+  EXPECT_NE(json.find("\\\"I-IV\\\""), npos);
+  EXPECT_NE(json.find("\\n"), npos);
+  EXPECT_NE(json.find("\\u0007"), npos);
+  EXPECT_NE(json.find("\\t"), npos);
+  for (const char c : json) EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+}
+
 TEST(EventLog, SeverityAndCategoryFilters) {
   EventLog log;
   log.log(seconds(1), Severity::kDebug, "lifecycle", "controller", "a");
@@ -101,6 +116,68 @@ TEST(EventLog, SeverityAndCategoryFilters) {
   EXPECT_EQ(log.at_least(Severity::kError).size(), 1u);
   ASSERT_EQ(log.for_category("breaker").size(), 1u);
   EXPECT_EQ(log.for_category("breaker")[0]->message, "b");
+}
+
+TEST(EventLog, FullStackConnectionStoryIsLoggedOnceInOrder) {
+  // connect -> fiber cut -> restoration -> repair -> release on the paper
+  // testbed: the event log alone tells the whole story, every transition
+  // once, with the connection's events carrying its correlation tag.
+  core::TestbedScenario s(71);
+  Telemetry tel(&s.engine);
+  s.model->attach_telemetry(&tel);
+  std::optional<ConnectionId> id;
+  s.portal->connect(s.site_i, s.site_iv, rates::k10G,
+                    core::ProtectionMode::kRestorable,
+                    [&](Result<ConnectionId> r) {
+                      if (r.ok()) id = r.value();
+                    });
+  s.engine.run();
+  ASSERT_TRUE(id.has_value());
+  s.model->fail_link(s.topo.i_iv);
+  s.engine.run();
+  ASSERT_EQ(s.controller->connection(*id).restorations, 1);
+  s.model->repair_link(s.topo.i_iv);
+  s.engine.run();
+  std::optional<Status> released;
+  s.portal->disconnect(*id, [&](Status st) { released = st; });
+  s.engine.run();
+  ASSERT_TRUE(released.has_value() && released->ok());
+  s.model->attach_telemetry(nullptr);
+
+  const CorrelationTag tag = core::telemetry_tag(*id);
+  const std::string name = "connection " + std::to_string(id->value());
+  const std::string link = s.model->graph().link(s.topo.i_iv).name;
+  std::vector<std::string> story;
+  for (const Event& e : tel.events().events()) {
+    if (e.category == "plant") {
+      EXPECT_EQ(e.tag, 0u) << e.message;
+      story.push_back("plant: " + e.message);
+    } else if (e.tag == tag) {
+      story.push_back(e.category + ": " + e.message);
+    } else {
+      EXPECT_EQ(e.message.rfind(name + " ", 0), npos)
+          << "untagged event about the connection: " << e.message;
+    }
+  }
+  const std::vector<std::string> expected = {
+      "lifecycle: " + name + " requested",
+      "lifecycle: " + name + " active",
+      "plant: fiber cut on " + link,
+      "lifecycle: " + name + " failed",
+      "restoration: " + name + " restoration started",
+      "lifecycle: " + name + " recovered",
+      "lifecycle: " + name + " restored",
+      "plant: fiber repaired on " + link,
+      "lifecycle: " + name + " released",
+  };
+  ASSERT_EQ(story.size(), expected.size()) << [&] {
+    std::string all;
+    for (const std::string& line : story) all += line + "\n";
+    return all;
+  }();
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    EXPECT_EQ(story[i].rfind(expected[i], 0), 0u)
+        << "event " << i << ": " << story[i];
 }
 
 TEST(EventLog, TelemetryFacadeStampsSimTime) {

@@ -1,10 +1,9 @@
-// Unit tests for the discrete-event engine and trace log.
+// Unit tests for the discrete-event engine.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace griphon::sim {
 namespace {
@@ -157,157 +156,6 @@ TEST(Engine, DeterministicWithSameSeed) {
   };
   EXPECT_EQ(run(9), run(9));
   EXPECT_NE(run(9), run(10));
-}
-
-TEST(Trace, RecordsInOrder) {
-  Trace t;
-  t.emit(seconds(1), TraceLevel::kInfo, "a", "x");
-  t.emit(seconds(2), TraceLevel::kWarn, "b", "y", "detail");
-  ASSERT_EQ(t.records().size(), 2u);
-  EXPECT_EQ(t.records()[0].event, "x");
-  EXPECT_EQ(t.records()[1].detail, "detail");
-}
-
-TEST(Trace, CountsByEvent) {
-  Trace t;
-  t.emit(seconds(1), TraceLevel::kInfo, "a", "setup");
-  t.emit(seconds(2), TraceLevel::kInfo, "a", "setup");
-  t.emit(seconds(3), TraceLevel::kInfo, "a", "teardown");
-  EXPECT_EQ(t.count("setup"), 2u);
-  EXPECT_EQ(t.count("teardown"), 1u);
-  EXPECT_EQ(t.count("missing"), 0u);
-}
-
-TEST(Trace, MinLevelFilters) {
-  Trace t;
-  t.set_min_level(TraceLevel::kWarn);
-  t.emit(seconds(1), TraceLevel::kDebug, "a", "quiet");
-  t.emit(seconds(1), TraceLevel::kError, "a", "loud");
-  ASSERT_EQ(t.records().size(), 1u);
-  EXPECT_EQ(t.records()[0].event, "loud");
-}
-
-TEST(Trace, JsonExportIsWellFormedAndEscaped) {
-  Trace t;
-  t.emit(milliseconds(1500), TraceLevel::kInfo, "controller", "setup-done",
-         "path \"I-IV\"\nline2");
-  t.emit(seconds(2), TraceLevel::kWarn, "plant", "fiber-cut", "");
-  const std::string json = t.to_json();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"dropped\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"records\":["), std::string::npos);
-  EXPECT_NE(json.find("\"t\":1.500000"), std::string::npos);
-  EXPECT_NE(json.find("\"actor\":\"controller\""), std::string::npos);
-  EXPECT_NE(json.find("\\\"I-IV\\\""), std::string::npos);  // escaped quotes
-  EXPECT_NE(json.find("\\n"), std::string::npos);          // escaped newline
-  EXPECT_EQ(json.find('\n'), std::string::npos);            // no raw newlines
-  EXPECT_NE(json.find("\"level\":\"WARN\""), std::string::npos);
-}
-
-TEST(Trace, JsonEmptyTrace) {
-  Trace t;
-  EXPECT_EQ(t.to_json(), "{\"dropped\":0,\"records\":[]}");
-}
-
-TEST(Trace, ClearEmpties) {
-  Trace t;
-  t.emit(seconds(1), TraceLevel::kInfo, "a", "x");
-  t.clear();
-  EXPECT_TRUE(t.records().empty());
-}
-
-TEST(Trace, JsonEscapesControlCharacters) {
-  Trace t;
-  t.emit(seconds(1), TraceLevel::kInfo, "a", "evt",
-         std::string("bell\x07tab\tend"));
-  const std::string json = t.to_json();
-  EXPECT_NE(json.find("\\u0007"), std::string::npos);
-  EXPECT_NE(json.find("\\t"), std::string::npos);
-  for (const char c : json)
-    EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
-}
-
-TEST(Trace, UnboundedByDefault) {
-  Trace t;
-  for (int i = 0; i < 100; ++i)
-    t.emit(seconds(i), TraceLevel::kInfo, "a", "e");
-  EXPECT_EQ(t.capacity(), 0u);
-  EXPECT_EQ(t.records().size(), 100u);
-  EXPECT_EQ(t.dropped_count(), 0u);
-}
-
-TEST(Trace, RingKeepsNewestInOrder) {
-  Trace t;
-  t.set_capacity(3);
-  for (int i = 0; i < 10; ++i)
-    t.emit(seconds(i), TraceLevel::kInfo, "a", "e" + std::to_string(i));
-  ASSERT_EQ(t.records().size(), 3u);
-  EXPECT_EQ(t.records()[0].event, "e7");
-  EXPECT_EQ(t.records()[1].event, "e8");
-  EXPECT_EQ(t.records()[2].event, "e9");
-  // 10 emits + 1 ring-full warning into a ring of 3: 8 evicted.
-  EXPECT_EQ(t.dropped_count(), 8u);
-  // Emitting after a read (which normalizes the ring) keeps order right.
-  t.emit(seconds(10), TraceLevel::kInfo, "a", "e10");
-  ASSERT_EQ(t.records().size(), 3u);
-  EXPECT_EQ(t.records()[0].event, "e8");
-  EXPECT_EQ(t.records()[2].event, "e10");
-  EXPECT_EQ(t.dropped_count(), 9u);
-}
-
-TEST(Trace, FirstOverflowEmitsOneWarning) {
-  Trace t;
-  t.set_capacity(4);
-  for (int i = 0; i < 20; ++i)
-    t.emit(seconds(i), TraceLevel::kInfo, "a", "e" + std::to_string(i));
-  // Exactly one ring-full warning for the whole overflow run — it rode
-  // the ring itself (and may since have been evicted), never repeating.
-  std::size_t warned = 0;
-  for (const auto& r : t.records())
-    if (r.event == "ring-full") ++warned;
-  EXPECT_LE(warned, 1u);
-  EXPECT_EQ(t.dropped_count(), 17u);  // 20 emits + 1 warning - 4 retained
-
-  // A fresh overflow run after clear() warns again.
-  t.clear();
-  EXPECT_EQ(t.dropped_count(), 0u);
-  for (int i = 0; i < 5; ++i)
-    t.emit(seconds(i), TraceLevel::kInfo, "a", "x");
-  EXPECT_EQ(t.count("ring-full"), 1u);
-  EXPECT_NE(t.to_json().find("\"dropped\":2"), std::string::npos);
-}
-
-TEST(Trace, ShrinkingCapacityDropsOldest) {
-  Trace t;
-  for (int i = 0; i < 5; ++i)
-    t.emit(seconds(i), TraceLevel::kInfo, "a", "e" + std::to_string(i));
-  t.set_capacity(2);
-  ASSERT_EQ(t.records().size(), 2u);
-  EXPECT_EQ(t.records()[0].event, "e3");
-  EXPECT_EQ(t.records()[1].event, "e4");
-  EXPECT_EQ(t.dropped_count(), 3u);
-}
-
-TEST(Trace, RingJsonAndCountSeeOnlyRetained) {
-  Trace t;
-  t.set_capacity(2);
-  for (int i = 0; i < 4; ++i)
-    t.emit(seconds(i), TraceLevel::kInfo, "a", "e" + std::to_string(i));
-  // Retained: the ring-full warning (emitted on the first eviction, then
-  // aged like any record) and e3; the dump's `dropped` makes the
-  // truncation visible.
-  EXPECT_EQ(t.count("e0"), 0u);
-  EXPECT_EQ(t.count("e3"), 1u);
-  EXPECT_EQ(t.count("ring-full"), 1u);
-  const std::string json = t.to_json();
-  EXPECT_EQ(json.find("e0"), std::string::npos);
-  EXPECT_NE(json.find("\"dropped\":3"), std::string::npos);
-  EXPECT_LT(json.find("ring-full"), json.find("e3"));  // oldest first
-  t.clear();
-  EXPECT_TRUE(t.records().empty());
-  EXPECT_EQ(t.dropped_count(), 0u);
-  EXPECT_EQ(t.capacity(), 2u);  // clear keeps the bound
 }
 
 // Property: however events are scheduled (random times, random nesting),

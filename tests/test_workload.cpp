@@ -7,7 +7,6 @@
 #include "core/scenario.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/bulk_transfer.hpp"
-#include "workload/calendar.hpp"
 #include "workload/diurnal.hpp"
 
 namespace griphon {
@@ -209,78 +208,6 @@ TEST(StoreForward, RelayNeverBeatsInfiniteLeftover) {
   const SimTime relay = baseline::StoreForwardPlanner::relay_completion(
       1'000'000'000'000, idle, idle, SimTime{});
   EXPECT_LE(direct, relay);  // store-then-forward adds at least a step
-}
-
-TEST(Calendar, BandwidthReadyWhenWindowOpens) {
-  core::TestbedScenario s(130);
-  workload::BandwidthCalendar cal(&s.engine, s.portal.get(), minutes(8));
-  std::vector<workload::BandwidthCalendar::Reservation::State> states;
-  const auto id = cal.reserve(
-      s.site_i, s.site_iv, DataRate::gbps(12), hours(1), minutes(30),
-      [&](const workload::BandwidthCalendar::Reservation& r) {
-        states.push_back(r.state);
-      });
-  s.engine.run();
-  using State = workload::BandwidthCalendar::Reservation::State;
-  const auto& r = cal.reservation(id);
-  EXPECT_EQ(r.state, State::kDone);
-  // Provisioning -> active -> done, in order.
-  ASSERT_EQ(states.size(), 3u);
-  EXPECT_EQ(states[0], State::kProvisioning);
-  EXPECT_EQ(states[1], State::kActive);
-  EXPECT_EQ(states[2], State::kDone);
-  // Bandwidth was live BEFORE (or exactly when) the window opened.
-  EXPECT_LE(r.bandwidth_ready_at, r.window_start);
-  EXPECT_EQ(cal.punctual(), 1u);
-  EXPECT_EQ(cal.late(), 0u);
-  // And everything was returned afterwards.
-  EXPECT_EQ(s.portal->provisioned(), DataRate{});
-}
-
-TEST(Calendar, ShortNoticeIsLateButServed) {
-  core::TestbedScenario s(131);
-  workload::BandwidthCalendar cal(&s.engine, s.portal.get(), minutes(8));
-  // Window opens in 20 s — far less than a wavelength setup takes.
-  const auto id = cal.reserve(
-      s.site_i, s.site_iv, rates::k10G, seconds(20), minutes(10),
-      [&](const workload::BandwidthCalendar::Reservation&) {});
-  s.engine.run();
-  const auto& r = cal.reservation(id);
-  EXPECT_EQ(r.state, workload::BandwidthCalendar::Reservation::State::kDone);
-  EXPECT_GT(r.bandwidth_ready_at, r.window_start);
-  EXPECT_EQ(cal.late(), 1u);
-}
-
-TEST(Calendar, BackToBackWindowsReuseThePool) {
-  core::TestbedScenario s(132);
-  workload::BandwidthCalendar cal(&s.engine, s.portal.get(), minutes(8));
-  // Two 40G-composite windows that do not overlap: the same OT pool can
-  // serve both because the first releases before the second provisions.
-  int done = 0;
-  const auto cb = [&](const workload::BandwidthCalendar::Reservation& r) {
-    if (r.state == workload::BandwidthCalendar::Reservation::State::kDone)
-      ++done;
-  };
-  cal.reserve(s.site_i, s.site_iv, DataRate::gbps(30), hours(1), minutes(30),
-              cb);
-  cal.reserve(s.site_i, s.site_iv, DataRate::gbps(30), hours(3), minutes(30),
-              cb);
-  s.engine.run();
-  EXPECT_EQ(done, 2);
-  EXPECT_EQ(cal.punctual(), 2u);
-  EXPECT_EQ(cal.failed(), 0u);
-}
-
-TEST(Calendar, RejectsBadWindows) {
-  core::TestbedScenario s(133);
-  workload::BandwidthCalendar cal(&s.engine, s.portal.get());
-  s.engine.run_until(hours(2));
-  EXPECT_THROW(cal.reserve(s.site_i, s.site_iv, rates::k1G, hours(1),
-                           minutes(5), [](const auto&) {}),
-               std::invalid_argument);
-  EXPECT_THROW(cal.reserve(s.site_i, s.site_iv, rates::k1G, hours(3),
-                           SimTime{}, [](const auto&) {}),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@ Checks (DESIGN.md §10):
                    suffix literals checked against the same grammar.
   banned-call      Library code under src/ must not call rand()/srand()
                    (use griphon::Rng), time() (use sim::Engine::now()), or
-                   write to std::cout (route through sim::Trace / telemetry).
+                   write to std::cout (route through telemetry).
                    Tests, benches and examples are exempt: they own stdout.
   pragma-once      Every header uses `#pragma once` (before any include),
                    never #ifndef guards.
@@ -324,7 +324,7 @@ BANNED = (
     ),
     (
         re.compile(r"\bstd::cout\b"),
-        "std::cout in library code — route through sim::Trace or telemetry",
+        "std::cout in library code — route through telemetry",
     ),
 )
 
