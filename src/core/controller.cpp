@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <numeric>
 #include <sstream>
 
@@ -93,6 +94,57 @@ void append_steps(StepList& dst, StepList src) {
     dst.push_back(std::move(s));
   }
 }
+
+using State = ConnectionState;
+
+struct Transition {
+  State from;
+  State to;
+};
+
+/// Every legal connection state change, one row per kind of set_state call
+/// site. kReleased and kSetupFailed are terminal: no row leaves them.
+constexpr Transition kTransitions[] = {
+    {State::kPending, State::kSettingUp},      // setup_* starts the train
+    {State::kSettingUp, State::kActive},       // finish_setup
+    {State::kSettingUp, State::kSetupFailed},  // finish_setup, rolled back
+    {State::kSettingUp, State::kFailed},       // mark_failed: cut mid-setup
+    {State::kActive, State::kFailed},          // mark_failed
+    {State::kActive, State::kRolling},         // roll_to_plan
+    {State::kActive, State::kTearingDown},     // release_connection
+    {State::kFailed, State::kActive},          // finish_setup, mark_recovered
+    {State::kFailed, State::kSetupFailed},     // finish_setup after a cut
+    {State::kFailed, State::kRestoring},       // restore_wavelength
+    {State::kFailed, State::kTearingDown},     // release of a backlogged one
+    {State::kRestoring, State::kActive},       // mark_recovered
+    {State::kRestoring, State::kFailed},       // restoration attempt failed
+    {State::kRolling, State::kActive},         // roll done or unwound
+    {State::kRolling, State::kFailed},         // mark_failed: cut mid-roll
+    {State::kTearingDown, State::kReleased},   // teardown finished
+};
+
+constexpr bool is_terminal(State s) noexcept {
+  return s == State::kReleased || s == State::kSetupFailed;
+}
+
+/// A state machine is running: the control plane is not quiescent.
+constexpr bool is_transitional(State s) noexcept {
+  return s == State::kPending || s == State::kSettingUp ||
+         s == State::kRestoring || s == State::kRolling ||
+         s == State::kTearingDown;
+}
+
+constexpr bool transition_allowed(State from, State to) noexcept {
+  for (const Transition& t : kTransitions)
+    if (t.from == from && t.to == to) return true;
+  return false;
+}
+
+static_assert(std::none_of(std::begin(kTransitions), std::end(kTransitions),
+                           [](const Transition& t) {
+                             return is_terminal(t.from);
+                           }),
+              "terminal connection states are absorbing");
 
 }  // namespace
 
@@ -202,20 +254,36 @@ const Connection* GriphonController::find_connection(
   return it == connections_.end() ? nullptr : &it->second;
 }
 
-std::vector<ConnectionId> GriphonController::connections_of(
-    CustomerId customer) const {
-  std::vector<ConnectionId> out;
-  for (const auto& [id, c] : connections_)
-    if (c.customer == customer && c.state != ConnectionState::kReleased &&
-        c.state != ConnectionState::kSetupFailed)
-      out.push_back(id);
-  return out;
+void GriphonController::set_state(Connection& c, ConnectionState to) {
+  const ConnectionState from = c.state;
+  const bool indexed = live_.contains(c.id);
+  // Only a fresh record is unindexed without being terminal; it enters
+  // the index as kPending.
+  assert(indexed ? transition_allowed(from, to)
+                 : from == State::kPending && to == State::kPending);
+  if (indexed) {
+    if (c.is_up()) --up_connections_;
+    if (is_transitional(from)) --transitional_connections_;
+  }
+  c.state = to;
+  if (is_terminal(to)) {
+    live_.erase(c.id);
+    live_by_customer_[c.customer].erase(c.id);
+    return;
+  }
+  if (!indexed) {
+    live_.insert(c.id);
+    live_by_customer_[c.customer].insert(c.id);
+  }
+  if (c.is_up()) ++up_connections_;
+  if (is_transitional(to)) ++transitional_connections_;
 }
 
-std::size_t GriphonController::active_connections() const {
-  return static_cast<std::size_t>(
-      std::count_if(connections_.begin(), connections_.end(),
-                    [](const auto& kv) { return kv.second.is_up(); }));
+std::vector<ConnectionId> GriphonController::connections_of(
+    CustomerId customer) const {
+  const auto it = live_by_customer_.find(customer);
+  if (it == live_by_customer_.end()) return {};
+  return {it->second.begin(), it->second.end()};
 }
 
 Result<std::size_t> GriphonController::pick_free_nte_port(MuxponderId nte) {
@@ -874,7 +942,6 @@ void GriphonController::request_connection(const ConnectionRequest& request,
   c.kind = request.rate >= rates::k10G ? ConnectionKind::kWavelength
                                        : ConnectionKind::kSubWavelength;
   c.requested_at = model_->engine().now();
-  c.state = ConnectionState::kPending;
 
   auto sp = pick_free_nte_port(c.src_site);
   if (!sp.ok()) {
@@ -891,9 +958,10 @@ void GriphonController::request_connection(const ConnectionRequest& request,
   c.dst_nte_port = dp.value();
 
   const ConnectionId id = c.id;
-  connections_[id] = std::move(c);
+  Connection& rec = connections_.emplace(id, std::move(c)).first->second;
+  set_state(rec, ConnectionState::kPending);
   if (telemetry::Telemetry* t = model_->telemetry()) {
-    connections_[id].setup_span = t->span_start(
+    rec.setup_span = t->span_start(
         "connection_setup", "controller", telemetry_tag(id), 0);
     t->metrics()
         .counter("griphon_controller_requests_total",
@@ -903,7 +971,7 @@ void GriphonController::request_connection(const ConnectionRequest& request,
              "connection " + std::to_string(id.value()) + " requested",
              telemetry_tag(id));
   }
-  if (connections_[id].kind == ConnectionKind::kWavelength)
+  if (rec.kind == ConnectionKind::kWavelength)
     setup_wavelength(id, std::move(cb));
   else
     setup_subwavelength(id, std::move(cb));
@@ -949,7 +1017,7 @@ void GriphonController::finish_setup(ConnectionId id, Status status,
                telemetry_tag(id));
   }
   if (status.ok()) {
-    c->state = ConnectionState::kActive;
+    set_state(*c, ConnectionState::kActive);
     c->active_at = model_->engine().now();
     c->setup_duration = c->active_at - c->requested_at;
     ++stats_.setups_ok;
@@ -967,7 +1035,7 @@ void GriphonController::finish_setup(ConnectionId id, Status status,
     }
     cb(id);
   } else {
-    c->state = ConnectionState::kSetupFailed;
+    set_state(*c, ConnectionState::kSetupFailed);
     release_nte_port(c->src_site, c->src_nte_port);
     release_nte_port(c->dst_site, c->dst_nte_port);
     ++stats_.setups_failed;
@@ -977,7 +1045,7 @@ void GriphonController::finish_setup(ConnectionId id, Status status,
 
 void GriphonController::setup_wavelength(ConnectionId id, SetupCallback cb) {
   Connection& c = conn(id);
-  c.state = ConnectionState::kSettingUp;
+  set_state(c, ConnectionState::kSettingUp);
   std::uint64_t think_span = 0;
   if (telemetry::Telemetry* t = model_->telemetry())
     think_span =
@@ -1100,7 +1168,7 @@ void GriphonController::setup_wavelength(ConnectionId id, SetupCallback cb) {
 void GriphonController::setup_subwavelength(ConnectionId id,
                                             SetupCallback cb) {
   Connection& c = conn(id);
-  c.state = ConnectionState::kSettingUp;
+  set_state(c, ConnectionState::kSettingUp);
   send_otn_create(id, std::move(cb), /*allow_groom=*/true);
 }
 
@@ -1346,7 +1414,7 @@ void GriphonController::release_connection(ConnectionId id, DoneCallback cb) {
               "controller: connection busy (setup/restore/roll in flight)"});
     return;
   }
-  c->state = ConnectionState::kTearingDown;
+  set_state(*c, ConnectionState::kTearingDown);
   // A backlogged (kFailed) connection can be released; drop its retry
   // entry so no backoff timer resurrects it mid-teardown.
   if (restore_backlog_.erase(id) != 0) update_restoration_gauges();
@@ -1360,7 +1428,7 @@ void GriphonController::release_connection(ConnectionId id, DoneCallback cb) {
     if (c == nullptr) return;
     release_nte_port(c->src_site, c->src_nte_port);
     release_nte_port(c->dst_site, c->dst_nte_port);
-    c->state = ConnectionState::kReleased;
+    set_state(*c, ConnectionState::kReleased);
     ++stats_.releases;
     if (telemetry::Telemetry* t = model_->telemetry()) {
       t->span_end(c->op_span, status.ok());
@@ -1459,7 +1527,7 @@ void GriphonController::mark_failed(Connection& c) {
   if (c.state == ConnectionState::kFailed ||
       c.state == ConnectionState::kRestoring)
     return;
-  c.state = ConnectionState::kFailed;
+  set_state(c, ConnectionState::kFailed);
   c.outage_started_at = model_->engine().now();
   if (telemetry::Telemetry* t = model_->telemetry())
     t->event(telemetry::Severity::kWarn, "lifecycle", "controller",
@@ -1473,7 +1541,7 @@ void GriphonController::mark_recovered(Connection& c) {
       c.state != ConnectionState::kRestoring)
     return;
   c.total_outage += model_->engine().now() - c.outage_started_at;
-  c.state = ConnectionState::kActive;
+  set_state(c, ConnectionState::kActive);
   // Service is back — retire the retry-backlog entry (if any) so a stale
   // backoff timer cannot relaunch a restoration of a healthy connection.
   if (restore_backlog_.erase(c.id) != 0) update_restoration_gauges();
@@ -1506,7 +1574,10 @@ void GriphonController::on_links_failed(
     }
   }
   const std::set<LinkId> failed(links.begin(), links.end());
-  for (auto& [id, c] : connections_) {
+  // A copy: the body changes states, and with them the index.
+  const std::vector<ConnectionId> live(live_.begin(), live_.end());
+  for (const ConnectionId id : live) {
+    Connection& c = conn(id);
     if (!c.is_up() && c.state != ConnectionState::kSettingUp) continue;
     if (c.kind == ConnectionKind::kWavelength) {
       const WavelengthPlan& active =
@@ -1559,7 +1630,9 @@ void GriphonController::on_links_failed(
 void GriphonController::on_links_repaired(const std::vector<LinkId>& links) {
   const std::set<LinkId>& believed = failures_.believed_failed();
   (void)links;
-  for (auto& [id, c] : connections_) {
+  const std::vector<ConnectionId> live(live_.begin(), live_.end());
+  for (const ConnectionId id : live) {
+    Connection& c = conn(id);
     if (c.state != ConnectionState::kFailed) continue;
     if (c.kind == ConnectionKind::kWavelength) {
       const WavelengthPlan& active =
@@ -1788,7 +1861,7 @@ void GriphonController::restore_wavelength(ConnectionId id,
     done();
     return;
   }
-  c0->state = ConnectionState::kRestoring;
+  set_state(*c0, ConnectionState::kRestoring);
   const SimTime restore_started = model_->engine().now();
   if (telemetry::Telemetry* t = model_->telemetry()) {
     c0->op_span =
@@ -1856,7 +1929,7 @@ void GriphonController::restore_wavelength(ConnectionId id,
                            close_restore](const std::string& why) {
         ++stats_.restorations_failed;
         if (Connection* cc = find_conn(id); cc != nullptr)
-          cc->state = ConnectionState::kFailed;
+          set_state(*cc, ConnectionState::kFailed);
         backlog_restoration(id, why);
         close_restore(false, why);
         done();
@@ -1973,7 +2046,7 @@ void GriphonController::restore_wavelength(ConnectionId id,
                     rollback_steps(steps, std::move(succeeded),
                                    [this, id, why]() {
                       Connection* c = find_conn(id);
-                      if (c != nullptr) c->state = ConnectionState::kFailed;
+                      if (c != nullptr) set_state(*c, ConnectionState::kFailed);
                       // Backlogged only once the rollback released the
                       // half-built path — a retry must not race its own
                       // cleanup.
@@ -2040,7 +2113,7 @@ void GriphonController::roll_to_plan(ConnectionId id,
     cb(adm);
     return;
   }
-  c0->state = ConnectionState::kRolling;
+  set_state(*c0, ConnectionState::kRolling);
   reserve_plan(new_plan);
   std::uint64_t bridge_span = 0;
   if (telemetry::Telemetry* t = model_->telemetry()) {
@@ -2094,7 +2167,7 @@ void GriphonController::roll_to_plan(ConnectionId id,
                        // or restoring one belongs to failure handling.
                        if (c != nullptr &&
                            c->state == ConnectionState::kRolling)
-                         c->state = ConnectionState::kActive;
+                         set_state(*c, ConnectionState::kActive);
                        cb(out);
                      });
       return;
@@ -2198,7 +2271,7 @@ void GriphonController::roll_to_plan(ConnectionId id,
                                 Status, std::vector<std::size_t>) mutable {
         Connection* c = find_conn(id);
         if (c != nullptr && c->state == ConnectionState::kRolling)
-          c->state = ConnectionState::kActive;
+          set_state(*c, ConnectionState::kActive);
         if (telemetry::Telemetry* t = model_->telemetry()) {
           t->span_end(repatch_span);
           t->span_end(roll_span);
@@ -2314,14 +2387,17 @@ void GriphonController::roll_to(ConnectionId id, const WavelengthPlan& new_plan,
 std::vector<ConnectionId> GriphonController::live_wavelength_connections()
     const {
   std::vector<ConnectionId> out;
-  for (const auto& [id, c] : connections_)
+  for (const ConnectionId id : live_) {
+    const Connection& c = connection(id);
     if (c.kind == ConnectionKind::kWavelength && c.is_up()) out.push_back(id);
-  return out;  // connections_ is an ordered map, so ids are ascending
+  }
+  return out;  // live_ is an ordered set, so ids are ascending
 }
 
 void GriphonController::prepare_maintenance(LinkId link, DoneCallback cb) {
   std::vector<ConnectionId> to_roll;
-  for (const auto& [id, c] : connections_) {
+  for (const ConnectionId id : live_) {
+    const Connection& c = conn(id);
     if (c.kind != ConnectionKind::kWavelength || !c.is_up()) continue;
     if (c.plan.path.uses_link(link)) to_roll.push_back(id);
   }
@@ -2473,19 +2549,7 @@ bool GriphonController::quiescent() const {
   // the audit itself will not produce.
   for (const auto& [id, e] : restore_backlog_)
     if (!e.dormant) return false;
-  for (const auto& [id, c] : connections_) {
-    switch (c.state) {
-      case ConnectionState::kPending:
-      case ConnectionState::kSettingUp:
-      case ConnectionState::kRestoring:
-      case ConnectionState::kRolling:
-      case ConnectionState::kTearingDown:
-        return false;
-      default:
-        break;
-    }
-  }
-  return true;
+  return transitional_connections_ == 0;
 }
 
 void GriphonController::schedule_resync() {
@@ -2578,8 +2642,8 @@ StepList GriphonController::expected_steps_for(
 
 StepList GriphonController::build_expected_steps() const {
   StepList steps;
-  for (const auto& [id, c] : connections_) {
-    StepList s = expected_steps_for(c);
+  for (const ConnectionId id : live_) {
+    StepList s = expected_steps_for(connection(id));
     steps.insert(steps.end(), std::make_move_iterator(s.begin()),
                  std::make_move_iterator(s.end()));
   }
@@ -2603,10 +2667,12 @@ void GriphonController::do_resync(
   std::set<OduCircuitId> expected_odus;
   for (const Step& s : build_expected_steps())
     append_config_keys(s.forward, expected);
-  for (const auto& [id, c] : connections_)
+  for (const ConnectionId id : live_) {
+    const Connection& c = conn(id);
     if (c.odu.valid() && (c.state == ConnectionState::kActive ||
                           c.state == ConnectionState::kFailed))
       expected_odus.insert(c.odu);
+  }
 
   // Present: walk every device; anything configured but unowned is a leak
   // and gets a release command.
@@ -2712,8 +2778,8 @@ void GriphonController::do_resync(
     }
     return drifted;
   };
-  for (const auto& [id, c] : connections_)
-    if (append_drift_repairs(expected_steps_for(c)))
+  for (const ConnectionId id : live_)
+    if (append_drift_repairs(expected_steps_for(conn(id))))
       ++report->drifted_connections;
   for (const auto& [carrier, plan] : groomed_plans_) {
     Connection synthetic;

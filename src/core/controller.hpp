@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "core/connection.hpp"
@@ -127,9 +128,14 @@ class GriphonController {
   /// so a stale id degrades to kNotFound rather than a crash.
   [[nodiscard]] const Connection* find_connection(
       ConnectionId id) const noexcept;
+  /// The customer's live (not released, not setup-failed) connections,
+  /// ascending.
   [[nodiscard]] std::vector<ConnectionId> connections_of(
       CustomerId customer) const;
-  [[nodiscard]] std::size_t active_connections() const;
+  /// Connections carrying traffic (Active or Rolling).
+  [[nodiscard]] std::size_t active_connections() const noexcept {
+    return up_connections_;
+  }
 
   // --- maintenance & grooming ----------------------------------------------
   /// Move one connection to a new, resource-disjoint path with
@@ -213,6 +219,7 @@ class GriphonController {
     return failures_;
   }
   [[nodiscard]] NetworkModel& model() noexcept { return *model_; }
+  [[nodiscard]] const NetworkModel& model() const noexcept { return *model_; }
   /// Shared RWA engine — the BoD service layer plans routes (and hits the
   /// exclusion-keyed route cache) through the same engine restoration uses.
   [[nodiscard]] const RwaEngine& rwa() const noexcept { return rwa_; }
@@ -398,6 +405,11 @@ class GriphonController {
   [[nodiscard]] StepList build_expected_steps() const;
   [[nodiscard]] StepList expected_steps_for(const Connection& c) const;
 
+  /// The only writer of Connection::state and of the live-connection
+  /// index. Asserts that (c.state, to) is in the transition table; a fresh
+  /// record (kPending, not yet indexed) enters the index with to=kPending.
+  void set_state(Connection& c, ConnectionState to);
+
   [[nodiscard]] Connection& conn(ConnectionId id);
   [[nodiscard]] Connection* find_conn(ConnectionId id);
   [[nodiscard]] Result<std::size_t> pick_free_nte_port(MuxponderId nte);
@@ -409,7 +421,16 @@ class GriphonController {
   RwaEngine rwa_;
   FailureManager failures_;
   EmsHealthTracker ems_health_;
-  std::map<ConnectionId, Connection> connections_;
+  /// Every connection ever requested, by id: released and setup-failed
+  /// records stay for accounting. Lookup only — scans walk `live_`.
+  std::unordered_map<ConnectionId, Connection> connections_;
+  /// Live-connection index, written only by set_state(): ids of
+  /// non-terminal connections, ascending, whole and per customer, plus
+  /// counts of up (Active/Rolling) and transitional connections.
+  std::set<ConnectionId> live_;
+  std::unordered_map<CustomerId, std::set<ConnectionId>> live_by_customer_;
+  std::size_t up_connections_ = 0;
+  std::size_t transitional_connections_ = 0;
   std::map<OduCircuitId, ConnectionId> odu_to_connection_;
   std::size_t carriers_groomed_ = 0;
   std::map<CarrierId, WavelengthPlan> groomed_plans_;

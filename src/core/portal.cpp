@@ -3,6 +3,7 @@
 #include <iomanip>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "telemetry/telemetry.hpp"
 
@@ -203,7 +204,7 @@ const CustomerPortal::Bundle& CustomerPortal::bundle(BundleId id) const {
 
 std::vector<CustomerPortal::ConnectionView> CustomerPortal::list() const {
   std::vector<ConnectionView> out;
-  const auto& model = const_cast<GriphonController*>(controller_)->model();
+  const NetworkModel& model = std::as_const(*controller_).model();
   for (const ConnectionId id : controller_->connections_of(customer_)) {
     const Connection& c = controller_->connection(id);
     ConnectionView v;

@@ -25,6 +25,7 @@
 #include "core/observability.hpp"
 #include "core/scenario.hpp"
 #include "ems/ems_server.hpp"
+#include "live_index_oracle.hpp"
 #include "proto/client.hpp"
 #include "reopt/service.hpp"
 #include "telemetry/sampler.hpp"
@@ -697,6 +698,7 @@ SoakOutcome run_chaos_soak(std::uint64_t seed, const FaultPlan& plan) {
     }
     s.engine.run_until(s.engine.now() + from_seconds(rng.uniform(60, 400)));
     sampler.sample_now();
+    core::expect_live_index_consistent(*s.controller);
   }
 
   // Stand the faults down, let every restart / transfer window / retry
@@ -704,6 +706,7 @@ SoakOutcome run_chaos_soak(std::uint64_t seed, const FaultPlan& plan) {
   injector.disarm();
   injector.heal_all();
   s.engine.run();
+  core::expect_live_index_consistent(*s.controller);
   for (int attempt = 0; attempt < 6 && !live.empty(); ++attempt) {
     auto remaining = live;
     for (const ConnectionId id : remaining) {
@@ -713,6 +716,7 @@ SoakOutcome run_chaos_soak(std::uint64_t seed, const FaultPlan& plan) {
       });
     }
     s.engine.run();
+    core::expect_live_index_consistent(*s.controller);
   }
   EXPECT_TRUE(live.empty()) << plan.name << ": undrained connections";
   s.controller->decommission_idle_carriers([](Status) {});
@@ -729,6 +733,7 @@ SoakOutcome run_chaos_soak(std::uint64_t seed, const FaultPlan& plan) {
         report->drifted_connections == 0)
       break;
   }
+  core::expect_live_index_consistent(*s.controller);
 
   // --- invariants: an explicit fate for every transfer ------------------
   for (const TransferId id : transfers) {
@@ -866,6 +871,7 @@ void expect_plant_sweeps_clean(core::TestbedScenario& s) {
   }
   EXPECT_EQ(report->total_leaks(), 0u);
   EXPECT_EQ(report->drifted_connections, 0u);
+  core::expect_live_index_consistent(*s.controller);
 }
 
 TEST(RollChaos, RollRacesFiberCutOnOldPath) {

@@ -9,6 +9,7 @@
 
 #include "core/scenario.hpp"
 #include "ems/ems_server.hpp"
+#include "live_index_oracle.hpp"
 #include "proto/messages.hpp"
 
 namespace griphon::core {
@@ -562,6 +563,183 @@ TEST(Controller, StatsTrackOutcomes) {
   EXPECT_EQ(st.setups_ok, 1u);
   EXPECT_EQ(st.releases, 1u);
   EXPECT_GT(st.commands_issued, 10u);
+}
+
+/// Vetoes the next `vetoes` OT activations with a non-retryable NACK, so
+/// the setup they belong to fails mid-train and rolls back.
+struct ActivationVeto final : ems::EmsFaultHook {
+  int vetoes = 0;
+  Status on_command(const std::string&, const proto::Message& m) override {
+    if (vetoes > 0 && std::holds_alternative<proto::OtSetState>(m) &&
+        std::get<proto::OtSetState>(m).action ==
+            proto::OtSetState::Action::kActivate) {
+      --vetoes;
+      return Status{ErrorCode::kDeviceFault, "test: activation vetoed"};
+    }
+    return Status::success();
+  }
+  double latency_scale(const std::string&) override { return 1.0; }
+};
+
+/// Steps the engine until connection `id` reaches `state`, calling
+/// `after_event` after every event; false if the event queue drained first.
+template <typename AfterEvent>
+bool step_until_state(TestbedScenario& s, ConnectionId id,
+                      ConnectionState state, AfterEvent after_event) {
+  while (s.controller->connection(id).state != state) {
+    if (!s.engine.step()) return false;
+    after_event();
+  }
+  return true;
+}
+
+TEST(Controller, LiveIndexMatchesHistoryScan) {
+  TestbedScenario s(67);
+  ActivationVeto veto;
+  s.model->roadm_ems().set_fault_hook(&veto);
+  // The index is checked against the history after every event.
+  const auto check = [&] { expect_live_index_consistent(*s.controller); };
+  const auto run = [&] {
+    while (s.engine.step()) check();
+  };
+  const auto connect = [&](MuxponderId from, MuxponderId to, DataRate rate,
+                           ProtectionMode prot) {
+    std::optional<Result<ConnectionId>> result;
+    s.portal->connect(from, to, rate, prot,
+                      [&](Result<ConnectionId> r) { result = std::move(r); });
+    check();  // kSettingUp, before any command is in flight
+    run();
+    EXPECT_TRUE(result.has_value());
+    return result.value_or(Error{ErrorCode::kInternal, "no callback"});
+  };
+  check();  // empty controller
+
+  const auto a = connect(s.site_i, s.site_iv, rates::k10G,
+                         ProtectionMode::kRestorable);
+  ASSERT_TRUE(a.ok());
+
+  // Blocked requests leave kSetupFailed records behind.
+  for (int i = 0; i < 2; ++i) {
+    veto.vetoes = 1;
+    ASSERT_FALSE(connect(s.site_i, s.site_iv, rates::k10G,
+                         ProtectionMode::kRestorable)
+                     .ok());
+  }
+  EXPECT_EQ(s.controller->stats().setups_failed, 2u);
+
+  const auto b = connect(s.site_i, s.site_iii, rates::k10G,
+                         ProtectionMode::kOnePlusOne);
+  const auto p = connect(s.site_iii, s.site_iv, rates::k1G,
+                         ProtectionMode::kRestorable);
+  const auto r = connect(s.site_iii, s.site_iv, rates::k10G,
+                         ProtectionMode::kRestorable);
+  ASSERT_TRUE(b.ok() && p.ok() && r.ok());
+  EXPECT_EQ(s.controller->connection(p.value()).kind,
+            ConnectionKind::kSubWavelength);
+  EXPECT_EQ(s.controller->active_connections(), 4u);
+
+  // A roll.
+  std::optional<Status> rolled;
+  Exclusions avoid;
+  avoid.links.insert(s.topo.iii_iv);
+  s.controller->bridge_and_roll(r.value(), avoid,
+                                [&](Status st) { rolled = st; });
+  ASSERT_TRUE(step_until_state(s, r.value(), ConnectionState::kRolling, check));
+  run();
+  ASSERT_TRUE(rolled && rolled->ok());
+  EXPECT_EQ(s.controller->connection(r.value()).rolls, 1);
+
+  // A 1+1 tail-end switch off a cut primary leg, then the repair.
+  const Connection& cb = s.controller->connection(b.value());
+  const LinkId b_primary = cb.plan.path.links.front();
+  s.model->fail_link(b_primary);
+  ASSERT_TRUE(step_until_state(s, b.value(), ConnectionState::kFailed, check));
+  run();
+  EXPECT_EQ(cb.state, ConnectionState::kActive);
+  EXPECT_TRUE(cb.traffic_on_standby);
+  s.model->repair_link(b_primary);
+  run();
+
+  // A cut with wavelength restoration.
+  const Connection& ca = s.controller->connection(a.value());
+  ASSERT_TRUE(ca.plan.path.uses_link(s.topo.i_iv));
+  s.model->fail_link(s.topo.i_iv);
+  ASSERT_TRUE(
+      step_until_state(s, a.value(), ConnectionState::kRestoring, check));
+  run();
+  EXPECT_EQ(ca.state, ConnectionState::kActive);
+  EXPECT_EQ(ca.restorations, 1);
+  s.model->repair_link(s.topo.i_iv);
+  run();
+
+  // Releases empty the index; the history keeps every record.
+  for (const auto& id : {a, b, p, r}) {
+    std::optional<Status> done;
+    s.portal->disconnect(id.value(), [&](Status st) { done = st; });
+    check();
+    run();
+    ASSERT_TRUE(done && done->ok());
+  }
+  EXPECT_TRUE(s.controller->connections_of(s.csp).empty());
+  EXPECT_EQ(s.controller->active_connections(), 0u);
+  EXPECT_TRUE(s.controller->live_wavelength_connections().empty());
+  EXPECT_TRUE(s.controller->quiescent());
+  EXPECT_EQ(ca.state, ConnectionState::kReleased);
+  s.model->roadm_ems().set_fault_hook(nullptr);
+}
+
+TEST(Portal, ProvisionedCountsOnlyLiveConnections) {
+  TestbedScenario s(68);
+  ActivationVeto veto;
+  s.model->roadm_ems().set_fault_hook(&veto);
+  CustomerPortal portal(s.controller.get(), s.csp, DataRate::gbps(25));
+  const auto connect = [&](ProtectionMode prot) {
+    std::optional<Result<ConnectionId>> result;
+    portal.connect(s.site_i, s.site_iv, rates::k10G, prot,
+                   [&](Result<ConnectionId> r) { result = std::move(r); });
+    s.engine.run();
+    EXPECT_TRUE(result.has_value());
+    return result.value_or(Error{ErrorCode::kInternal, "no callback"});
+  };
+
+  // A setup that failed and rolled back holds no quota.
+  veto.vetoes = 1;
+  ASSERT_FALSE(connect(ProtectionMode::kUnprotected).ok());
+  EXPECT_EQ(s.controller->stats().setups_failed, 1u);
+  EXPECT_EQ(portal.provisioned(), DataRate{});
+
+  const auto down = connect(ProtectionMode::kUnprotected);
+  const auto restoring = connect(ProtectionMode::kRestorable);
+  ASSERT_TRUE(down.ok() && restoring.ok());
+  EXPECT_EQ(portal.provisioned(), DataRate::gbps(20));
+
+  // Failed and restoring connections still hold their bandwidth: a third
+  // 10G request is over quota while the outage lasts.
+  s.model->fail_link(s.topo.i_iv);
+  ASSERT_TRUE(step_until_state(s, restoring.value(),
+                               ConnectionState::kRestoring, [] {}));
+  EXPECT_EQ(s.controller->connection(down.value()).state,
+            ConnectionState::kFailed);
+  EXPECT_EQ(portal.provisioned(), DataRate::gbps(20));
+  std::optional<Result<ConnectionId>> over;
+  portal.connect(s.site_i, s.site_iv, rates::k10G,
+                 ProtectionMode::kUnprotected,
+                 [&](Result<ConnectionId> r) { over = std::move(r); });
+  ASSERT_TRUE(over.has_value() && !over->ok());
+  EXPECT_EQ(over->error().code(), ErrorCode::kPermissionDenied);
+  s.engine.run();
+  EXPECT_EQ(s.controller->connection(restoring.value()).state,
+            ConnectionState::kActive);
+
+  // Releasing the failed connection gives its bandwidth back.
+  std::optional<Status> released;
+  portal.disconnect(down.value(), [&](Status st) { released = st; });
+  s.engine.run();
+  ASSERT_TRUE(released && released->ok());
+  EXPECT_EQ(portal.provisioned(), rates::k10G);
+  EXPECT_TRUE(connect(ProtectionMode::kUnprotected).ok());
+  EXPECT_EQ(portal.provisioned(), DataRate::gbps(20));
+  s.model->roadm_ems().set_fault_hook(nullptr);
 }
 
 }  // namespace

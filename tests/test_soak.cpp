@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/scenario.hpp"
+#include "live_index_oracle.hpp"
 
 namespace griphon::core {
 namespace {
@@ -87,11 +88,13 @@ TEST_P(SoakTest, RandomOperationsThenCleanDrain) {
     // Let a random slice of time pass (often enough for flows to finish).
     s.engine.run_until(s.engine.now() +
                        from_seconds(rng.uniform(30, 600)));
+    expect_live_index_consistent(*s.controller);
   }
 
   // Repair everything and let all machinery settle.
   for (const LinkId link : cut_links) s.model->repair_link(link);
   s.engine.run();
+  expect_live_index_consistent(*s.controller);
   ASSERT_GT(setups_attempted, 10);
 
   // Drain: release every remaining connection (retrying the busy ones).
@@ -105,6 +108,7 @@ TEST_P(SoakTest, RandomOperationsThenCleanDrain) {
       });
     }
     s.engine.run();
+    expect_live_index_consistent(*s.controller);
   }
   ASSERT_TRUE(live.empty());
 

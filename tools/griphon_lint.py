@@ -52,6 +52,12 @@ Checks (DESIGN.md §10):
                    guards nothing is either dead or (worse) the guarded
                    members were left unannotated, which silently disables
                    the analysis for them.
+  conn-state       Library code under src/ must not assign a connection
+                   state (`.state = ConnectionState::` / `->state =
+                   ConnectionState::`) outside GriphonController::set_state,
+                   the only writer of the live-connection index and the
+                   checker of the transition table (DESIGN.md §7). A
+                   direct assignment would bypass both.
 
 Usage:
     tools/griphon_lint.py [--report griphon_lint_report.txt] [paths...]
@@ -624,6 +630,54 @@ def check_guarded_member(findings: list[Finding]) -> None:
                 findings.append(f)
 
 
+# --- conn-state -------------------------------------------------------------
+
+CONN_STATE_RE = re.compile(r"(?:\.|->)\s*state\s*=(?!=)\s*ConnectionState::")
+SET_STATE_DEF_RE = re.compile(r"\bGriphonController::set_state\s*\(")
+
+
+def function_bodies(text: str, header: re.Pattern) -> list[tuple[int, int]]:
+    """[start, end) offsets of the brace-delimited bodies of every function
+    definition whose signature `header` matches."""
+    spans: list[tuple[int, int]] = []
+    for m in header.finditer(text):
+        open_at = text.find("{", m.end())
+        if open_at < 0 or ";" in text[m.end():open_at]:
+            continue  # a declaration, not a definition
+        depth = 0
+        for i in range(open_at, len(text)):
+            if text[i] == "{":
+                depth += 1
+            elif text[i] == "}":
+                depth -= 1
+                if depth == 0:
+                    spans.append((open_at, i + 1))
+                    break
+    return spans
+
+
+def check_conn_state(findings: list[Finding]) -> None:
+    for path in repo_files(("src",), (".cpp", ".hpp")):
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read()
+        text = strip_comments(raw)
+        raw_lines = raw.splitlines()
+        writer = function_bodies(text, SET_STATE_DEF_RE)
+        for m in CONN_STATE_RE.finditer(text):
+            if any(a <= m.start() < b for a, b in writer):
+                continue
+            f = Finding(
+                path,
+                line_of(text, m.start()),
+                "conn-state",
+                "connection state assigned directly — call "
+                "GriphonController::set_state so the live-connection index "
+                "and the transition table see it (DESIGN.md §7)",
+            )
+            if not allowed(raw_lines, f):
+                findings.append(f)
+
+
 # --- self-test --------------------------------------------------------------
 
 # (fixture source, relative path, check, expected finding count). Each bad
@@ -660,6 +714,22 @@ SELF_TEST_FIXTURES = (
         "guarded-member",
         1,
     ),
+    (
+        "void GriphonController::set_state(Connection& c, State to);\n"
+        "void GriphonController::set_state(Connection& c, State to) {\n"
+        "  if (to == ConnectionState::kActive) {\n"
+        "    c.state = ConnectionState::kActive;\n  }\n}\n"
+        "void f(Connection& c, Connection* p) {\n"
+        "  c.state = ConnectionState::kFailed;\n"
+        "  p -> state=ConnectionState::kReleased;\n"
+        "  if (c.state == ConnectionState::kFailed) return;\n"
+        "  c.state = ConnectionState::kActive;  "
+        "// griphon-lint: allow(conn-state) fixture waiver\n"
+        "}\n",
+        os.path.join("src", "core", "fixture_conn_state.cpp"),
+        "conn-state",
+        2,  # inside set_state, comparisons and the waived line are fine
+    ),
 )
 
 
@@ -680,6 +750,7 @@ def self_test() -> int:
             "detached-thread": check_detached_thread,
             "mutable-global": check_mutable_global,
             "guarded-member": check_guarded_member,
+            "conn-state": check_conn_state,
         }
         for source, rel, check, expected in SELF_TEST_FIXTURES:
             case_dir = os.path.join(tmp, os.path.dirname(rel))
@@ -730,6 +801,7 @@ CHECKS = {
     "detached-thread": check_detached_thread,
     "mutable-global": check_mutable_global,
     "guarded-member": check_guarded_member,
+    "conn-state": check_conn_state,
 }
 
 
