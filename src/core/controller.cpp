@@ -1029,8 +1029,7 @@ void GriphonController::finish_setup(ConnectionId id, Status status,
         plan_uses_any(c->plan, failures_.believed_failed())) {
       const ConnectionId cid = id;
       mark_failed(*c);
-      if (c->protection == ProtectionMode::kRestorable &&
-          params_.auto_restore)
+      if (c->protection == ProtectionMode::kRestorable)
         enqueue_restoration(cid);
     }
     cb(id);
@@ -1609,8 +1608,7 @@ void GriphonController::on_links_failed(
                        telemetry_tag(cid));
           });
         }
-      } else if (c.protection == ProtectionMode::kRestorable &&
-                 params_.auto_restore) {
+      } else if (c.protection == ProtectionMode::kRestorable) {
         enqueue_restoration(id);
       }
     } else {
@@ -1641,8 +1639,7 @@ void GriphonController::on_links_repaired(const std::vector<LinkId>& links) {
         if (c.deprovisioned) {
           // A failed restoration attempt already released this path's
           // devices: light alone is not service; re-provision now.
-          if (c.protection == ProtectionMode::kRestorable &&
-              params_.auto_restore)
+          if (c.protection == ProtectionMode::kRestorable)
             enqueue_restoration(id);
         } else {
           // Light returns on the repaired fiber; devices never
@@ -1758,9 +1755,7 @@ void GriphonController::pump_restorations() {
 void GriphonController::backlog_restoration(ConnectionId id,
                                             const std::string& why) {
   Connection* c = find_conn(id);
-  if (c == nullptr || c->protection != ProtectionMode::kRestorable ||
-      !params_.auto_restore)
-    return;
+  if (c == nullptr || c->protection != ProtectionMode::kRestorable) return;
   BacklogEntry& e = restore_backlog_[id];
   ++e.attempts;
   const std::uint64_t gen = ++e.generation;
@@ -2085,11 +2080,6 @@ void GriphonController::restore_wavelength(ConnectionId id,
               proceed();
             },
             release_span);
-}
-
-void GriphonController::restore_subwavelength(ConnectionId) {
-  // Sub-wavelength restoration is autonomous (MeshRestorer); nothing to do
-  // from the controller beyond the bookkeeping done in callbacks.
 }
 
 // --------------------------------------------------------------------------

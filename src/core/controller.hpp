@@ -50,15 +50,8 @@ class GriphonController {
     /// Route computation time inside the controller.
     LatencyModel path_computation =
         LatencyModel::fixed(milliseconds(500));
-    /// Distributed shared-mesh restoration of one ODU circuit (done by the
-    /// OTN switches themselves, not by EMS commands).
-    LatencyModel otn_restoration =
-        LatencyModel::normal(milliseconds(120), milliseconds(60),
-                             milliseconds(15));
     /// Traffic hit when rolling between bridged paths.
     SimTime roll_hit = milliseconds(50);
-    /// Restore wavelength connections automatically on failure.
-    bool auto_restore = true;
 
     /// Restoration-storm pipeline (DESIGN.md §17). Failed restorable
     /// connections drain from a tier-ordered queue; up to
@@ -381,7 +374,6 @@ class GriphonController {
   void enqueue_restoration(ConnectionId id);
   void pump_restorations();
   void restore_wavelength(ConnectionId id, std::function<void()> done);
-  void restore_subwavelength(ConnectionId id);
   /// Record a failed attempt in the retry backlog: exponential backoff
   /// while timed retries remain, dormant (event-driven only) after.
   void backlog_restoration(ConnectionId id, const std::string& why);

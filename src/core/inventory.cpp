@@ -54,8 +54,9 @@ void Inventory::on_regen_changed(const dwdm::Regenerator& regen) {
 std::optional<TransponderId> Inventory::Snapshot::find_free_ot(
     NodeId node, DataRate min_rate) const {
   if (node.value() >= pools_->ots_by_site.size()) return std::nullopt;
-  // Sorted by (line_rate, id): first free adequate entry is the smallest
-  // adequate rate with the lowest id — identical to the live query.
+  // Sorted by (line_rate, id): the first free adequate entry is the
+  // smallest adequate line rate — don't burn a 40G transponder on a 10G
+  // service while a 10G unit sits idle.
   for (const OtEntry& e : pools_->ots_by_site[node.value()]) {
     if (e.rate < min_rate) continue;
     if (!detail::bit_test(ot_free_bits_, e.id.value())) continue;
@@ -131,15 +132,10 @@ void Inventory::release_channel(LinkId link, dwdm::ChannelIndex ch) {
   }
 }
 
-bool Inventory::channel_reserved_locked(LinkId link,
-                                        dwdm::ChannelIndex ch) const {
-  return link.value() < reserved_by_link_.size() &&
-         reserved_by_link_[link.value()].contains(ch);
-}
-
 bool Inventory::channel_reserved(LinkId link, dwdm::ChannelIndex ch) const {
   MutexLock lock(&mu_);
-  return channel_reserved_locked(link, ch);
+  return link.value() < reserved_by_link_.size() &&
+         reserved_by_link_[link.value()].contains(ch);
 }
 
 void Inventory::reserve_ot(TransponderId id) {
@@ -160,15 +156,6 @@ void Inventory::release_ot(TransponderId id) {
   }
 }
 
-bool Inventory::ot_reserved_locked(TransponderId id) const {
-  return detail::bit_test(reserved_ot_bits_, id.value());
-}
-
-bool Inventory::ot_reserved(TransponderId id) const {
-  MutexLock lock(&mu_);
-  return ot_reserved_locked(id);
-}
-
 void Inventory::reserve_regen(RegenId id) {
   MutexLock lock(&mu_);
   if (!detail::bit_test(reserved_regen_bits_, id.value())) {
@@ -187,22 +174,13 @@ void Inventory::release_regen(RegenId id) {
   }
 }
 
-bool Inventory::regen_reserved_locked(RegenId id) const {
-  return detail::bit_test(reserved_regen_bits_, id.value());
-}
-
-bool Inventory::regen_reserved(RegenId id) const {
-  MutexLock lock(&mu_);
-  return regen_reserved_locked(id);
-}
-
 std::size_t Inventory::reservations() const {
   MutexLock lock(&mu_);
   return channel_reservation_count_ + reserved_ot_count_ +
          reserved_regen_count_;
 }
 
-// --- combined availability --------------------------------------------------
+// --- snapshot build path ----------------------------------------------------
 
 dwdm::ChannelSet Inventory::device_availability(LinkId link) const {
   if (model_->link_failed(link)) return {};
@@ -214,14 +192,6 @@ dwdm::ChannelSet Inventory::device_availability(LinkId link) const {
   if (!da || !db) return {};
   dwdm::ChannelSet set = ra.free_channels(*da);
   set.intersect(rb.free_channels(*db));
-  return set;
-}
-
-dwdm::ChannelSet Inventory::available_on_link(LinkId link) const {
-  dwdm::ChannelSet set = device_availability(link);
-  MutexLock lock(&mu_);
-  if (link.value() < reserved_by_link_.size())
-    set.subtract(reserved_by_link_[link.value()]);
   return set;
 }
 
@@ -239,7 +209,7 @@ void Inventory::ensure_pools_locked() const {
   for (const auto& ot : ots)
     if (ot->site().value() < sites)
       pools->ots_by_site[ot->site().value()].push_back(
-          Snapshot::OtEntry{ot->line_rate(), ot->id(), ot.get()});
+          Snapshot::OtEntry{ot->line_rate(), ot->id()});
   for (auto& pool : pools->ots_by_site)
     std::sort(pool.begin(), pool.end(),
               [](const Snapshot::OtEntry& a, const Snapshot::OtEntry& b) {
@@ -251,74 +221,15 @@ void Inventory::ensure_pools_locked() const {
   for (const auto& regen : regens)
     if (regen->site().value() < sites)
       pools->regens_by_site[regen->site().value()].push_back(
-          Snapshot::RegenEntry{regen->line_rate(), regen->id(), regen.get()});
+          Snapshot::RegenEntry{regen->line_rate(), regen->id()});
   pools->regen_count = regens.size();
   pools_ = std::move(pools);
-}
-
-std::optional<TransponderId> Inventory::find_free_ot(NodeId node,
-                                                     DataRate min_rate) const {
-  MutexLock lock(&mu_);
-  ensure_pools_locked();
-  if (node.value() >= pools_->ots_by_site.size()) return std::nullopt;
-  // The pool is sorted by (line_rate, id): the first free adequate entry
-  // is the smallest adequate line rate — don't burn a 40G transponder on
-  // a 10G service while a 10G unit sits idle.
-  for (const Snapshot::OtEntry& e : pools_->ots_by_site[node.value()]) {
-    if (e.rate < min_rate) continue;
-    if (!ot_is_free(*e.dev)) continue;
-    if (ot_reserved_locked(e.id)) continue;
-    return e.id;
-  }
-  return std::nullopt;
-}
-
-std::size_t Inventory::free_ot_count(NodeId node, DataRate min_rate) const {
-  MutexLock lock(&mu_);
-  ensure_pools_locked();
-  if (node.value() >= pools_->ots_by_site.size()) return 0;
-  std::size_t n = 0;
-  for (const Snapshot::OtEntry& e : pools_->ots_by_site[node.value()]) {
-    if (e.rate >= min_rate && ot_is_free(*e.dev) && !ot_reserved_locked(e.id))
-      ++n;
-  }
-  return n;
-}
-
-std::optional<RegenId> Inventory::find_free_regen(
-    NodeId node, DataRate min_rate, const std::set<RegenId>& exclude) const {
-  MutexLock lock(&mu_);
-  ensure_pools_locked();
-  if (node.value() >= pools_->regens_by_site.size()) return std::nullopt;
-  for (const Snapshot::RegenEntry& e :
-       pools_->regens_by_site[node.value()]) {
-    if (e.dev->in_use()) continue;
-    if (e.rate < min_rate) continue;
-    if (regen_reserved_locked(e.id)) continue;
-    if (exclude.contains(e.id)) continue;
-    return e.id;
-  }
-  return std::nullopt;
-}
-
-std::size_t Inventory::free_regen_count(NodeId node, DataRate min_rate) const {
-  MutexLock lock(&mu_);
-  ensure_pools_locked();
-  if (node.value() >= pools_->regens_by_site.size()) return 0;
-  std::size_t n = 0;
-  for (const Snapshot::RegenEntry& e :
-       pools_->regens_by_site[node.value()]) {
-    if (!e.dev->in_use() && e.rate >= min_rate &&
-        !regen_reserved_locked(e.id))
-      ++n;
-  }
-  return n;
 }
 
 void Inventory::ensure_usage_locked() const {
   const std::uint64_t version = model_->plant_version();
   if (usage_ && usage_version_ == version) return;
-  // Build into a local, then swap in: published snapshots share the old
+  // Build into a local, then swap in: handed-out snapshots share the old
   // table immutably, so it must never be mutated in place.
   std::vector<std::size_t> table(model_->grid().count(), 0);
   for (const auto& link : model_->graph().links()) {
@@ -332,15 +243,6 @@ void Inventory::ensure_usage_locked() const {
   usage_ = std::make_shared<const std::vector<std::size_t>>(std::move(table));
   usage_version_ = version;
 }
-
-std::size_t Inventory::channel_usage(dwdm::ChannelIndex ch) const {
-  MutexLock lock(&mu_);
-  ensure_usage_locked();
-  if (ch < 0 || static_cast<std::size_t>(ch) >= usage_->size()) return 0;
-  return (*usage_)[static_cast<std::size_t>(ch)];
-}
-
-// --- snapshot publish path --------------------------------------------------
 
 void Inventory::rebuild_locked() const {
   ensure_pools_locked();
@@ -368,7 +270,7 @@ void Inventory::rebuild_locked() const {
   built_ = true;
 }
 
-void Inventory::publish_locked() const {
+void Inventory::assemble_locked() const {
   auto snap = std::shared_ptr<Snapshot>(new Snapshot());
   snap->avail_ = net_avail_;
   snap->pools_ = pools_;
@@ -383,13 +285,7 @@ void Inventory::publish_locked() const {
        w < snap->regen_free_bits_.size() && w < reserved_regen_bits_.size();
        ++w)
     snap->regen_free_bits_[w] &= ~reserved_regen_bits_[w];
-  snap->topology_version_ = built_topology_version_;
-  snap->plant_version_ = built_plant_version_;
-  snap->device_version_ = built_device_version_;
-  snap->publish_seq_ = ++publish_seq_;
-  snap->reservations_ = channel_reservation_count_ + reserved_ot_count_ +
-                        reserved_regen_count_;
-  published_ = std::move(snap);
+  current_ = std::move(snap);
   overlay_dirty_ = false;
 }
 
@@ -404,14 +300,8 @@ std::shared_ptr<const Inventory::Snapshot> Inventory::snapshot() const {
                      built_topology_version_ != model_->topology_version() ||
                      built_device_version_ != model_->device_version();
   if (stale) rebuild_locked();
-  if (stale || overlay_dirty_ || !published_) publish_locked();
-  return published_;
-}
-
-std::shared_ptr<const Inventory::Snapshot> Inventory::published_snapshot()
-    const {
-  MutexLock lock(&mu_);
-  return published_;
+  if (stale || overlay_dirty_ || !current_) assemble_locked();
+  return current_;
 }
 
 }  // namespace griphon::core

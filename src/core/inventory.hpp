@@ -2,30 +2,23 @@
 //
 // Device state is authoritative (the ROADMs/OTs know what is configured);
 // the inventory adds a *reservation overlay* for resources committed to
-// in-flight setups whose EMS commands have not landed yet. RWA queries go
-// through here so two concurrent setups never pick the same wavelength,
-// OT or regenerator.
+// in-flight setups whose EMS commands have not landed yet, so two
+// concurrent setups never pick the same wavelength, OT or regenerator.
 //
-// Everything here sits on the RWA hot path, so the overlay is indexed
-// rather than scanned (see DESIGN.md "Inventory indexing invariants"):
-//  * channel reservations live in a per-link ChannelSet (O(words) to
-//    subtract from link availability instead of scanning every
-//    reservation in the network),
-//  * OT/regen lookups go through per-site pools built once from the model
-//    (O(pool-at-site) instead of O(all devices)),
-//  * the per-channel usage table behind the most-/least-used wavelength
-//    policies is cached and invalidated by the model's plant version
-//    (O(1) amortized instead of O(links) per queried channel).
+// Planning state is read only through `Inventory::Snapshot`: an immutable
+// view of per-link channel availability (device state minus
+// reservations), free-OT/regen bitmaps over per-site pools, and the
+// per-channel usage table. `snapshot()` hands out the current view and
+// builds a new one only when something moved (see DESIGN.md "Inventory
+// indexing invariants" and §15):
+//  * channel reservations live in a per-link ChannelSet and are applied
+//    to the incrementally-kept net availability in O(1) per change,
+//  * OT/regen lifecycle transitions reach the free bitmaps through the
+//    model's device observers (attach_device_listeners), O(1) each,
+//  * plant or topology changes (and pool growth) force one full rebuild
+//    from the model on the next snapshot().
 //
-// Concurrency (DESIGN.md §15): every member is guarded by `mu_`, and the
-// read side for future parallel RWA workers is the immutable
-// `Inventory::Snapshot` — a versioned, copy-on-publish view assembled
-// under the lock and handed out as shared_ptr<const>. Mutators keep the
-// snapshot ingredients up to date incrementally (O(1) per overlay change);
-// `snapshot()` re-publishes only when something actually moved. Readers on
-// other threads use `published_snapshot()`, which never touches the
-// NetworkModel — only the owner thread (the one mutating the model)
-// may call `snapshot()`.
+// All members are guarded by `mu_` (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
@@ -62,75 +55,55 @@ inline void bit_clear(std::vector<std::uint64_t>& bits,
 
 class Inventory {
  public:
-  /// Immutable, versioned read view of planning state: per-link channel
-  /// availability (device state minus reservations), free-OT/regen
-  /// bitmaps over (rate, id)-sorted site pools, and the per-channel usage
-  /// table. Built copy-on-publish under the inventory lock; once handed
-  /// out it is never written again, so any number of threads may read it
-  /// without synchronization, and it never dereferences the NetworkModel.
+  /// Immutable read view of planning state: per-link channel availability
+  /// (device state minus reservations), free-OT/regen bitmaps over
+  /// (rate, id)-sorted site pools, and the per-channel usage table. Once
+  /// handed out it is never written again and never reads the
+  /// NetworkModel, so one planning pass sees one coherent state.
   class Snapshot {
    public:
     /// Channels usable on `link`: free on the facing degree of both end
-    /// ROADMs and not reserved, as of publish time. Empty if failed.
+    /// ROADMs and not reserved. Empty if the link is failed.
     [[nodiscard]] dwdm::ChannelSet available_on_link(LinkId link) const {
       if (link.value() >= avail_.size()) return {};
       return avail_[link.value()];
     }
 
-    /// An idle, unreserved OT at `node` with line rate >= `min_rate` —
-    /// same (rate, id) pick order as Inventory::find_free_ot.
+    /// An idle, unreserved OT at `node` with line rate >= `min_rate`: the
+    /// smallest adequate rate, lowest id first.
     [[nodiscard]] std::optional<TransponderId> find_free_ot(
         NodeId node, DataRate min_rate) const;
     [[nodiscard]] std::size_t free_ot_count(NodeId node,
                                             DataRate min_rate) const;
 
-    /// An unused, unreserved regenerator at `node`, skipping `exclude`.
+    /// An unused, unreserved regenerator at `node`, skipping any id in
+    /// `exclude` (a plan may place several regens at one site).
     [[nodiscard]] std::optional<RegenId> find_free_regen(
         NodeId node, DataRate min_rate,
         const std::set<RegenId>& exclude = {}) const;
     [[nodiscard]] std::size_t free_regen_count(NodeId node,
                                                DataRate min_rate) const;
 
-    /// Number of links where channel `ch` was configured at publish time.
+    /// Number of links where channel `ch` is configured — input to the
+    /// most-/least-used wavelength-assignment policies.
     [[nodiscard]] std::size_t channel_usage(dwdm::ChannelIndex ch) const {
       if (ch < 0 || static_cast<std::size_t>(ch) >= usage_->size()) return 0;
       return (*usage_)[static_cast<std::size_t>(ch)];
-    }
-
-    /// Model version stamps captured at publish time.
-    [[nodiscard]] std::uint64_t topology_version() const noexcept {
-      return topology_version_;
-    }
-    [[nodiscard]] std::uint64_t plant_version() const noexcept {
-      return plant_version_;
-    }
-    [[nodiscard]] std::uint64_t device_version() const noexcept {
-      return device_version_;
-    }
-    /// Strictly increasing per publish; readers use it to detect that a
-    /// newer view exists and to assert monotonic progress.
-    [[nodiscard]] std::uint64_t publish_seq() const noexcept {
-      return publish_seq_;
-    }
-    [[nodiscard]] std::size_t reservations() const noexcept {
-      return reservations_;
     }
 
    private:
     friend class Inventory;
     Snapshot() = default;
 
-    // Site pools shared (immutably) with the inventory; entries carry the
-    // immutable device attributes so readers never chase device pointers.
+    // Site pools, shared immutably with the inventory. Entries carry the
+    // devices' immutable attributes, so reads never touch a device.
     struct OtEntry {
       DataRate rate{};
       TransponderId id{};
-      const dwdm::Transponder* dev = nullptr;  ///< owner-thread use only
     };
     struct RegenEntry {
       DataRate rate{};
       RegenId id{};
-      const dwdm::Regenerator* dev = nullptr;  ///< owner-thread use only
     };
     struct PoolIndex {
       std::vector<std::vector<OtEntry>> ots_by_site;
@@ -144,11 +117,6 @@ class Inventory {
     std::shared_ptr<const std::vector<std::size_t>> usage_;
     std::vector<std::uint64_t> ot_free_bits_;     // by OT id value
     std::vector<std::uint64_t> regen_free_bits_;  // by regen id value
-    std::uint64_t topology_version_ = 0;
-    std::uint64_t plant_version_ = 0;
-    std::uint64_t device_version_ = 0;
-    std::uint64_t publish_seq_ = 0;
-    std::size_t reservations_ = 0;
   };
 
   explicit Inventory(const NetworkModel* model) : model_(model) {}
@@ -161,9 +129,10 @@ class Inventory {
   /// deployment this inventory reads). From then on OT/regen lifecycle
   /// transitions update the snapshot free bitmaps in O(1) under the lock
   /// instead of forcing a full pool re-scan on the next snapshot() —
-  /// device-only churn (tune/activate/release trains) re-publishes
-  /// without ever touching the model. The model has one observer slot;
-  /// the controller's inventory claims it, and the destructor detaches.
+  /// device-only churn (tune/activate/release trains) yields a new
+  /// snapshot without ever touching the model. The model has one observer
+  /// slot; the controller's inventory claims it, and the destructor
+  /// detaches.
   void attach_device_listeners(NetworkModel* model) EXCLUDES(mu_);
 
   // --- reservation overlay ------------------------------------------------
@@ -174,54 +143,18 @@ class Inventory {
       EXCLUDES(mu_);
   void reserve_ot(TransponderId id) EXCLUDES(mu_);
   void release_ot(TransponderId id) EXCLUDES(mu_);
-  [[nodiscard]] bool ot_reserved(TransponderId id) const EXCLUDES(mu_);
   void reserve_regen(RegenId id) EXCLUDES(mu_);
   void release_regen(RegenId id) EXCLUDES(mu_);
-  [[nodiscard]] bool regen_reserved(RegenId id) const EXCLUDES(mu_);
-
-  // --- combined availability (device state minus reservations) -----------
-  /// Channels usable on `link`: free on the facing degree of both end
-  /// ROADMs and not reserved. Empty if the link is failed.
-  [[nodiscard]] dwdm::ChannelSet available_on_link(LinkId link) const
-      EXCLUDES(mu_);
-
-  /// An idle, unreserved OT at `node` with line rate >= `min_rate`.
-  [[nodiscard]] std::optional<TransponderId> find_free_ot(
-      NodeId node, DataRate min_rate) const EXCLUDES(mu_);
-  [[nodiscard]] std::size_t free_ot_count(NodeId node, DataRate min_rate) const
-      EXCLUDES(mu_);
-
-  /// An unused, unreserved regenerator at `node`, skipping any id in
-  /// `exclude` (a plan may place several regens at one site).
-  [[nodiscard]] std::optional<RegenId> find_free_regen(
-      NodeId node, DataRate min_rate,
-      const std::set<RegenId>& exclude = {}) const EXCLUDES(mu_);
-  [[nodiscard]] std::size_t free_regen_count(NodeId node,
-                                             DataRate min_rate) const
-      EXCLUDES(mu_);
-
-  /// Number of links where channel `ch` is currently configured — input to
-  /// the most-used wavelength-assignment policy.
-  [[nodiscard]] std::size_t channel_usage(dwdm::ChannelIndex ch) const
-      EXCLUDES(mu_);
 
   [[nodiscard]] std::size_t reservations() const EXCLUDES(mu_);
 
-  // --- versioned read snapshot --------------------------------------------
-  /// Refresh-if-stale and return the current snapshot. Reads the
-  /// NetworkModel when the model's version stamps moved, so it must only
-  /// be called from the thread that owns model mutations (the controller
-  /// event loop) — the same externally-synchronized contract as every
-  /// model accessor. O(1) when nothing changed since the last call;
-  /// overlay-only churn re-publishes from incrementally-maintained state
-  /// without touching the model.
+  // --- read snapshot ------------------------------------------------------
+  /// Refresh-if-stale and return the current snapshot — the only read
+  /// path for planning state. Rebuilds from the NetworkModel when the
+  /// model's version stamps moved; O(1) when nothing changed since the
+  /// last call; overlay-only churn assembles a new view from the
+  /// incrementally-maintained state without touching the model.
   [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const
-      EXCLUDES(mu_);
-
-  /// Last published snapshot, or nullptr before the first snapshot()
-  /// call. Never reads the NetworkModel — safe from any thread while the
-  /// owner thread keeps mutating model and overlay.
-  [[nodiscard]] std::shared_ptr<const Snapshot> published_snapshot() const
       EXCLUDES(mu_);
 
  private:
@@ -229,20 +162,14 @@ class Inventory {
 
   /// Grow-on-demand access to the per-link reservation set.
   dwdm::ChannelSet& reserved_on_locked(LinkId link) REQUIRES(mu_);
-  [[nodiscard]] bool channel_reserved_locked(LinkId link,
-                                             dwdm::ChannelIndex ch) const
-      REQUIRES(mu_);
-  [[nodiscard]] bool ot_reserved_locked(TransponderId id) const
-      REQUIRES(mu_);
-  [[nodiscard]] bool regen_reserved_locked(RegenId id) const REQUIRES(mu_);
 
   /// Device-only availability on a link (no reservation overlay) — pure
-  /// model read, shared by the live query and the rebuild path.
+  /// model read for the rebuild path.
   [[nodiscard]] dwdm::ChannelSet device_availability(LinkId link) const;
 
   /// O(1) device-free-bit maintenance off the model's change observers
-  /// (attach_device_listeners). Fires on the owner thread, after the
-  /// model bumped device_version().
+  /// (attach_device_listeners). Fires after the model bumped
+  /// device_version().
   void on_ot_changed(const dwdm::Transponder& ot) EXCLUDES(mu_);
   void on_regen_changed(const dwdm::Regenerator& regen) EXCLUDES(mu_);
 
@@ -251,12 +178,12 @@ class Inventory {
   /// Full rebuild of the derived planning state from the model (link
   /// availability, device free bitmaps, pools, usage table).
   void rebuild_locked() const REQUIRES(mu_);
-  /// Assemble and publish a fresh immutable Snapshot from current state.
-  void publish_locked() const REQUIRES(mu_);
+  /// Assemble a fresh immutable Snapshot from current state.
+  void assemble_locked() const REQUIRES(mu_);
 
   const NetworkModel* model_;
   /// Non-null while this inventory holds the model's device-observer
-  /// slot (owner-thread only; used to detach on destruction).
+  /// slot (used to detach on destruction).
   NetworkModel* listening_ = nullptr;
 
   mutable Mutex mu_;
@@ -276,12 +203,12 @@ class Inventory {
   // OTs are sorted by (line_rate, id) so the first free adequate entry is
   // the smallest adequate rate with the lowest id — the same pick the
   // old full scan made. Regens keep id order. Shared immutably with
-  // published snapshots.
+  // handed-out snapshots.
   mutable std::shared_ptr<const PoolIndex> pools_ GUARDED_BY(mu_);
 
   // Per-channel usage table (device state only, reservations excluded),
   // recomputed when the model's plant version moves. Shared immutably
-  // with published snapshots.
+  // with handed-out snapshots.
   mutable std::shared_ptr<const std::vector<std::size_t>> usage_
       GUARDED_BY(mu_);
   mutable std::uint64_t usage_version_ GUARDED_BY(mu_) = 0;
@@ -289,7 +216,7 @@ class Inventory {
   // Incrementally-maintained snapshot ingredients, valid while the model
   // version stamps below match the model. `device_avail_` is device-only
   // per-link availability; `net_avail_` is device minus reservations and
-  // is what publish copies into the snapshot.
+  // is what assemble_locked() copies into the snapshot.
   mutable bool built_ GUARDED_BY(mu_) = false;
   mutable std::vector<dwdm::ChannelSet> device_avail_ GUARDED_BY(mu_);
   mutable std::vector<dwdm::ChannelSet> net_avail_ GUARDED_BY(mu_);
@@ -299,10 +226,10 @@ class Inventory {
   mutable std::uint64_t built_topology_version_ GUARDED_BY(mu_) = 0;
   mutable std::uint64_t built_device_version_ GUARDED_BY(mu_) = 0;
 
-  // Publish state: set when the overlay changed since the last publish.
+  // The current snapshot; `overlay_dirty_` is set when the overlay or the
+  // device free bits changed since it was assembled.
   mutable bool overlay_dirty_ GUARDED_BY(mu_) = false;
-  mutable std::shared_ptr<const Snapshot> published_ GUARDED_BY(mu_);
-  mutable std::uint64_t publish_seq_ GUARDED_BY(mu_) = 0;
+  mutable std::shared_ptr<const Snapshot> current_ GUARDED_BY(mu_);
 };
 
 }  // namespace griphon::core

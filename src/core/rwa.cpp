@@ -20,13 +20,6 @@ dwdm::ChannelSet RwaEngine::channels_for_segment(
   return set;
 }
 
-dwdm::ChannelSet RwaEngine::channels_for_segment(const topology::Path& path,
-                                                 std::size_t first_link,
-                                                 std::size_t last_link) const {
-  const auto snap = inventory_->snapshot();
-  return channels_for_segment(*snap, path, first_link, last_link);
-}
-
 dwdm::ChannelIndex RwaEngine::pick_channel(
     const dwdm::ChannelSet& candidates, const Inventory::Snapshot& snap) const {
   if (candidates.empty()) return dwdm::kNoChannel;
@@ -186,7 +179,7 @@ Result<WavelengthPlan> RwaEngine::plan(NodeId src, NodeId dst, DataRate rate,
   }
 
   // One coherent view of availability, pools and usage for the whole
-  // planning pass — the seam parallel candidate evaluation will hang off.
+  // planning pass; every candidate route is judged against it.
   const std::shared_ptr<const Inventory::Snapshot> snap =
       inventory_->snapshot();
 

@@ -10,11 +10,13 @@
 // is pluggable (first-fit packs the spectrum from the bottom; most-used
 // maximizes reuse, the classic blocking-reduction heuristic).
 //
-// Concurrency (DESIGN.md §15): plan() reads planning state (availability,
-// pools, usage) exclusively through one Inventory::Snapshot taken at the
-// top of the call, so a future parallel candidate evaluation sees one
-// coherent view. The route cache and cached metric handles are guarded by
-// `mu_`.
+// Planning state (availability, pools, usage) comes from one
+// Inventory::Snapshot taken at the top of plan(): the inventory keeps it
+// current from observer-maintained device free bitmaps and the
+// reservation overlay, versioned by the model's plant/topology/device
+// stamps, so every candidate route is judged against the same state. The
+// route cache and cached metric handles are guarded by `mu_` (DESIGN.md
+// §15).
 #pragma once
 
 #include <cstdint>
@@ -86,11 +88,6 @@ class RwaEngine {
   [[nodiscard]] dwdm::ChannelSet channels_for_segment(
       const Inventory::Snapshot& snap, const topology::Path& path,
       std::size_t first_link, std::size_t last_link) const;
-
-  /// Convenience overload over a fresh snapshot (owner thread only).
-  [[nodiscard]] dwdm::ChannelSet channels_for_segment(
-      const topology::Path& path, std::size_t first_link,
-      std::size_t last_link) const;
 
   /// Candidate routes for (src, dst) under `exclude`, memoized. Routes
   /// depend only on the graph, the failed-link set, k, the weight function

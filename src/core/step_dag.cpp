@@ -221,7 +221,7 @@ std::string render_dag(const StepDagReport& report) {
   for (std::size_t i = 0; i < report.steps.size(); ++i) {
     const DagStepRecord& s = report.steps[i];
     out << (s.critical ? '*' : ' ') << (s.batched ? 'B' : ' ');
-    char idx[8];
+    char idx[24];  // "%3zu " of any size_t, plus the terminator
     std::snprintf(idx, sizeof idx, "%3zu ", i);
     out << idx;
     // Timeline bar: offset + extent in run time.

@@ -36,7 +36,7 @@ struct Step {
   std::optional<proto::Message> undo;  ///< rollback command, if any
   /// Indices (into the same StepList) of steps that must complete before
   /// this one may be issued. Empty = runnable immediately.
-  std::vector<std::size_t> deps;
+  std::vector<std::size_t> deps{};
 };
 using StepList = std::vector<Step>;
 

@@ -1,12 +1,14 @@
-// Equivalence property tests for the indexed Inventory.
+// Equivalence property tests for Inventory::Snapshot, the inventory's only
+// read path for planning state.
 //
-// The inventory's indexed fast paths (per-link reservation ChannelSets,
-// per-site OT/regen pools, the cached per-channel usage table) must agree
-// with the brute-force definitions they replaced: full scans over the
-// reservation list, the global OT/regen vectors and every link. The
-// references below are verbatim re-implementations of the pre-index logic;
-// a seeded random reserve/release/configure workload checks agreement
-// after every mutation.
+// The snapshot's indexed, incrementally-maintained state (per-link net
+// availability edited on every reservation, per-site OT/regen pools with
+// free bitmaps kept by the model's device observers, the cached
+// per-channel usage table) must agree with the brute-force definitions it
+// replaced: full scans over the reservation list, the global OT/regen
+// vectors and every link. The references below are verbatim
+// re-implementations of the pre-index logic; a seeded random
+// reserve/release/configure workload checks agreement between mutations.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -90,6 +92,17 @@ struct ReferenceInventory {
     return std::nullopt;
   }
 
+  std::size_t free_regen_count(NodeId node, DataRate min_rate) const {
+    std::size_t n = 0;
+    for (const auto& regen : model->regens()) {
+      if (regen->site() == node && !regen->in_use() &&
+          regen->line_rate() >= min_rate &&
+          !reserved_regens.contains(regen->id()))
+        ++n;
+    }
+    return n;
+  }
+
   std::size_t channel_usage(dwdm::ChannelIndex ch) const {
     std::size_t n = 0;
     for (const auto& link : model->graph().links()) {
@@ -112,7 +125,11 @@ struct EquivFixture {
         model(&engine, std::move(graph), config()),
         inventory(&model),
         reference{&model, {}, {}, {}},
-        rng(seed) {}
+        rng(seed) {
+    // As in the controller: device transitions reach the snapshot's free
+    // bitmaps through the model's observers, not through a rescan.
+    inventory.attach_device_listeners(&model);
+  }
 
   static NetworkModel::Config config() {
     NetworkModel::Config c;
@@ -258,8 +275,9 @@ struct EquivFixture {
   /// Full agreement check across every query the RWA hot path makes.
   void check_all() {
     ASSERT_EQ(inventory.reservations(), reference.reservations());
+    const auto snap = inventory.snapshot();
     for (const auto& link : model.graph().links()) {
-      ASSERT_EQ(inventory.available_on_link(link.id),
+      ASSERT_EQ(snap->available_on_link(link.id),
                 reference.available_on_link(link.id))
           << "available_on_link diverged on link " << link.id.value();
       for (dwdm::ChannelIndex ch = 0;
@@ -269,23 +287,26 @@ struct EquivFixture {
     }
     for (dwdm::ChannelIndex ch = 0;
          ch < static_cast<dwdm::ChannelIndex>(model.grid().count()); ++ch)
-      ASSERT_EQ(inventory.channel_usage(ch), reference.channel_usage(ch))
+      ASSERT_EQ(snap->channel_usage(ch), reference.channel_usage(ch))
           << "channel_usage diverged on channel " << ch;
     for (const auto& node : model.graph().nodes()) {
       for (const DataRate rate : {rates::k10G, rates::k40G}) {
-        ASSERT_EQ(inventory.find_free_ot(node.id, rate),
+        ASSERT_EQ(snap->find_free_ot(node.id, rate),
                   reference.find_free_ot(node.id, rate))
             << "find_free_ot diverged at node " << node.id.value();
-        ASSERT_EQ(inventory.free_ot_count(node.id, rate),
+        ASSERT_EQ(snap->free_ot_count(node.id, rate),
                   reference.free_ot_count(node.id, rate));
-        ASSERT_EQ(inventory.find_free_regen(node.id, rate),
+        ASSERT_EQ(snap->find_free_regen(node.id, rate),
                   reference.find_free_regen(node.id, rate));
+        ASSERT_EQ(snap->free_regen_count(node.id, rate),
+                  reference.free_regen_count(node.id, rate))
+            << "free_regen_count diverged at node " << node.id.value();
       }
       // Exclusion-aware regen lookup (the RWA multi-boundary case).
-      const auto first = inventory.find_free_regen(node.id, rates::k10G);
+      const auto first = snap->find_free_regen(node.id, rates::k10G);
       if (first) {
         const std::set<RegenId> excl{*first};
-        ASSERT_EQ(inventory.find_free_regen(node.id, rates::k10G, excl),
+        ASSERT_EQ(snap->find_free_regen(node.id, rates::k10G, excl),
                   reference.find_free_regen(node.id, rates::k10G, excl));
       }
     }
@@ -317,6 +338,13 @@ TEST(InventoryEquivalence, PaperTestbed10kOps) {
   run_property(topology::paper_testbed().graph, 42, 10000, 97);
 }
 
+// A snapshot after every single mutation: each reservation edit of the
+// net availability and each device-observer bit flip is checked right
+// after it happens, before a later full rebuild could mask a wrong edit.
+TEST(InventoryEquivalence, PaperTestbedEveryOp) {
+  run_property(topology::paper_testbed().graph, 4242, 3000, 1);
+}
+
 TEST(InventoryEquivalence, UsBackbone10kOps) {
   run_property(topology::us_backbone(), 1337, 10000, 211);
 }
@@ -330,7 +358,7 @@ TEST(InventoryEquivalence, RandomMeshManySeeds) {
 }
 
 // Link failure interacts with availability (failed link -> empty set);
-// make sure the indexed path honors it identically.
+// make sure the snapshot honors it identically.
 TEST(InventoryEquivalence, AgreesAcrossLinkFailures) {
   EquivFixture f(topology::paper_testbed().graph, 5);
   for (std::size_t op = 0; op < 2000; ++op) {

@@ -35,7 +35,7 @@ struct RwaFixture : ::testing::Test {
 };
 
 TEST_F(RwaFixture, AvailableChannelsStartFull) {
-  EXPECT_EQ(inventory.available_on_link(topo.i_iv).size(), 8u);
+  EXPECT_EQ(inventory.snapshot()->available_on_link(topo.i_iv).size(), 8u);
 }
 
 TEST_F(RwaFixture, DeviceStateReducesAvailability) {
@@ -45,41 +45,44 @@ TEST_F(RwaFixture, DeviceStateReducesAvailability) {
       roadm.configure_add_drop(model.roadm_port_of_ot(TransponderId{0}),
                                degree, 3)
           .ok());
-  const auto avail = inventory.available_on_link(topo.i_iv);
+  const auto avail = inventory.snapshot()->available_on_link(topo.i_iv);
   EXPECT_EQ(avail.size(), 7u);
   EXPECT_FALSE(avail.contains(3));
 }
 
 TEST_F(RwaFixture, ReservationsReduceAvailability) {
   inventory.reserve_channel(topo.i_iv, 5);
-  EXPECT_FALSE(inventory.available_on_link(topo.i_iv).contains(5));
+  EXPECT_FALSE(inventory.snapshot()->available_on_link(topo.i_iv).contains(5));
   inventory.release_channel(topo.i_iv, 5);
-  EXPECT_TRUE(inventory.available_on_link(topo.i_iv).contains(5));
+  EXPECT_TRUE(inventory.snapshot()->available_on_link(topo.i_iv).contains(5));
 }
 
 TEST_F(RwaFixture, FailedLinkHasNoChannels) {
   model.fail_link(topo.i_iv);
-  EXPECT_TRUE(inventory.available_on_link(topo.i_iv).empty());
+  EXPECT_TRUE(inventory.snapshot()->available_on_link(topo.i_iv).empty());
 }
 
 TEST_F(RwaFixture, OtPoolAccounting) {
-  EXPECT_EQ(inventory.free_ot_count(topo.i, rates::k10G), 2u);
-  const auto ot = inventory.find_free_ot(topo.i, rates::k10G);
+  EXPECT_EQ(inventory.snapshot()->free_ot_count(topo.i, rates::k10G), 2u);
+  const auto ot = inventory.snapshot()->find_free_ot(topo.i, rates::k10G);
   ASSERT_TRUE(ot.has_value());
   inventory.reserve_ot(*ot);
-  EXPECT_EQ(inventory.free_ot_count(topo.i, rates::k10G), 1u);
-  EXPECT_NE(inventory.find_free_ot(topo.i, rates::k10G), ot);
+  const auto reserved = inventory.snapshot();
+  EXPECT_EQ(reserved->free_ot_count(topo.i, rates::k10G), 1u);
+  EXPECT_NE(reserved->find_free_ot(topo.i, rates::k10G), ot);
   inventory.release_ot(*ot);
-  EXPECT_EQ(inventory.free_ot_count(topo.i, rates::k10G), 2u);
+  EXPECT_EQ(inventory.snapshot()->free_ot_count(topo.i, rates::k10G), 2u);
 }
 
 TEST_F(RwaFixture, TunedOtsStayInPool) {
-  const auto ot = inventory.find_free_ot(topo.i, rates::k10G).value();
+  const auto ot =
+      inventory.snapshot()->find_free_ot(topo.i, rates::k10G).value();
   ASSERT_TRUE(model.ot(ot).tune(3).ok());
-  EXPECT_TRUE(inventory.find_free_ot(topo.i, rates::k10G).has_value());
+  EXPECT_TRUE(
+      inventory.snapshot()->find_free_ot(topo.i, rates::k10G).has_value());
   ASSERT_TRUE(model.ot(ot).activate().ok());
   // One of two OTs active: one left.
-  EXPECT_EQ(inventory.free_ot_count(topo.i, rates::k10G), 1u);
+  EXPECT_EQ(inventory.snapshot()->free_ot_count(topo.i, rates::k10G), 1u);
 }
 
 TEST_F(RwaFixture, PlanDirectPath) {
@@ -239,10 +242,11 @@ TEST_P(RwaProperty, PlansSatisfyInvariants) {
     EXPECT_EQ(p.path.nodes.front(), src);
     EXPECT_EQ(p.path.nodes.back(), dst);
     // Segment channels are available on every segment link.
+    const auto snap = inv.snapshot();
     for (const auto& seg : p.segments) {
       for (std::size_t j = seg.first_link; j <= seg.last_link; ++j)
         EXPECT_TRUE(
-            inv.available_on_link(p.path.links[j]).contains(seg.channel));
+            snap->available_on_link(p.path.links[j]).contains(seg.channel));
     }
     // Regens sit at the right sites.
     for (std::size_t b = 0; b < p.regens.size(); ++b) {

@@ -1,23 +1,13 @@
-// Inventory::Snapshot: versioned copy-on-publish read view (DESIGN.md §15).
-//
-// Two layers of coverage:
-//  * single-threaded semantics — a snapshot agrees with the live queries
-//    it mirrors, republish happens only when something actually moved,
-//    and the version stamps (plant/topology/device/publish_seq) advance
-//    exactly with their triggers;
-//  * multi-threaded publish atomicity — reader threads loop over
-//    published_snapshot() while the owner thread churns reservations,
-//    link failures and OT state. A sentinel channel is reserved across a
-//    group of links strictly between publishes, so every published view
-//    must show it excluded on ALL of the group's links or NONE — a reader
-//    observing a half-applied group means a torn publish. Run under TSan
-//    in CI (std::thread is test-only; src/ uses the annotated wrappers).
+// Inventory::Snapshot: the immutable read view of planning state
+// (DESIGN.md §15). Single-threaded semantics: a new snapshot is assembled
+// only when something actually moved, every trigger (reservation, fiber
+// cut, device transition) shows up in the next one, and a snapshot once
+// handed out never changes, whatever happens to the model and overlay
+// afterwards. Agreement with brute-force scans is test_inventory_equiv's
+// job.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdint>
-#include <optional>
-#include <thread>
+#include <cstddef>
 #include <vector>
 
 #include "core/inventory.hpp"
@@ -49,51 +39,18 @@ struct SnapshotFixture {
   Inventory inventory;
 };
 
-TEST(InventorySnapshot, AgreesWithLiveQueries) {
-  SnapshotFixture f;
-  f.inventory.reserve_channel(LinkId{0}, 3);
-  f.inventory.reserve_channel(LinkId{1}, 5);
-  const auto ot = f.inventory.find_free_ot(NodeId{0}, rates::k10G);
-  ASSERT_TRUE(ot.has_value());
-  f.inventory.reserve_ot(*ot);
-
-  const auto snap = f.inventory.snapshot();
-  ASSERT_NE(snap, nullptr);
-  for (const auto& link : f.model.graph().links())
-    EXPECT_EQ(snap->available_on_link(link.id),
-              f.inventory.available_on_link(link.id))
-        << "link " << link.id.value();
-  for (const auto& node : f.model.graph().nodes()) {
-    for (const DataRate rate : {rates::k10G, rates::k40G}) {
-      EXPECT_EQ(snap->find_free_ot(node.id, rate),
-                f.inventory.find_free_ot(node.id, rate));
-      EXPECT_EQ(snap->free_ot_count(node.id, rate),
-                f.inventory.free_ot_count(node.id, rate));
-      EXPECT_EQ(snap->find_free_regen(node.id, rate),
-                f.inventory.find_free_regen(node.id, rate));
-      EXPECT_EQ(snap->free_regen_count(node.id, rate),
-                f.inventory.free_regen_count(node.id, rate));
-    }
-  }
-  for (dwdm::ChannelIndex ch = 0;
-       ch < static_cast<dwdm::ChannelIndex>(f.model.grid().count()); ++ch)
-    EXPECT_EQ(snap->channel_usage(ch), f.inventory.channel_usage(ch));
-  EXPECT_EQ(snap->reservations(), f.inventory.reservations());
-}
-
 TEST(InventorySnapshot, RepublishesOnlyOnChange) {
   SnapshotFixture f;
   const auto s1 = f.inventory.snapshot();
   const auto s2 = f.inventory.snapshot();
   EXPECT_EQ(s1, s2) << "no change -> same immutable object";
-  EXPECT_EQ(s1->publish_seq(), s2->publish_seq());
 
   f.inventory.reserve_channel(LinkId{0}, 0);
   const auto s3 = f.inventory.snapshot();
   EXPECT_NE(s3, s2);
-  EXPECT_GT(s3->publish_seq(), s2->publish_seq());
+  EXPECT_FALSE(s3->available_on_link(LinkId{0}).contains(0));
 
-  // Releasing a never-reserved channel is a no-op: no republish.
+  // Releasing a never-reserved channel is a no-op: no new snapshot.
   f.inventory.release_channel(LinkId{0}, 9);
   const auto s4 = f.inventory.snapshot();
   EXPECT_EQ(s4, s3);
@@ -103,136 +60,69 @@ TEST(InventorySnapshot, VersionStampsTrackTheirTriggers) {
   SnapshotFixture f;
   const auto s0 = f.inventory.snapshot();
 
-  // Topology: fiber cut moves topology_version, and the failed link
-  // publishes as empty.
+  // Topology: a fiber cut moves topology_version, and the failed link
+  // shows as empty in the next snapshot.
   f.model.fail_link(LinkId{2});
   const auto s1 = f.inventory.snapshot();
-  EXPECT_GT(s1->topology_version(), s0->topology_version());
+  EXPECT_NE(s1, s0);
   EXPECT_TRUE(s1->available_on_link(LinkId{2}).empty());
   f.model.repair_link(LinkId{2});
   const auto s2 = f.inventory.snapshot();
-  EXPECT_GT(s2->topology_version(), s1->topology_version());
+  EXPECT_NE(s2, s1);
   EXPECT_FALSE(s2->available_on_link(LinkId{2}).empty());
 
   // Device: an OT lifecycle transition moves device_version and the OT
-  // leaves the snapshot's free pool.
+  // leaves the next snapshot's free pool; resetting it brings it back.
   const auto ot = s2->find_free_ot(NodeId{0}, rates::k10G);
   ASSERT_TRUE(ot.has_value());
   ASSERT_TRUE(f.model.ot(*ot).tune(0).ok());
   ASSERT_TRUE(f.model.ot(*ot).activate().ok());
   const auto s3 = f.inventory.snapshot();
-  EXPECT_GT(s3->device_version(), s2->device_version());
+  EXPECT_NE(s3, s2);
   EXPECT_NE(s3->find_free_ot(NodeId{0}, rates::k10G), ot);
   ASSERT_TRUE(f.model.ot(*ot).deactivate().ok());
   ASSERT_TRUE(f.model.ot(*ot).reset().ok());
   const auto s4 = f.inventory.snapshot();
-  EXPECT_GT(s4->device_version(), s3->device_version());
-
-  EXPECT_GT(s4->publish_seq(), s0->publish_seq());
+  EXPECT_NE(s4, s3);
+  EXPECT_EQ(s4->find_free_ot(NodeId{0}, rates::k10G), ot);
 }
 
 TEST(InventorySnapshot, PublishedSnapshotNeverReadsTheModel) {
   SnapshotFixture f;
-  EXPECT_EQ(f.inventory.published_snapshot(), nullptr)
-      << "nothing published before the first snapshot()";
   const auto s1 = f.inventory.snapshot();
-  EXPECT_EQ(f.inventory.published_snapshot(), s1);
+  const auto& links = f.model.graph().links();
+  const auto& nodes = f.model.graph().nodes();
+  std::vector<dwdm::ChannelSet> avail;
+  for (const auto& link : links)
+    avail.push_back(s1->available_on_link(link.id));
+  std::vector<std::size_t> free_ots;
+  for (const auto& node : nodes)
+    free_ots.push_back(s1->free_ot_count(node.id, rates::k10G));
+  const auto ot = s1->find_free_ot(NodeId{0}, rates::k10G);
+  ASSERT_TRUE(ot.has_value());
 
-  // Model churn without a snapshot() call: the published view must stay
-  // the old (stale but internally consistent) one.
+  // Churn every input a snapshot is built from — overlay, topology and
+  // device state — and take newer snapshots in between.
+  f.inventory.reserve_channel(LinkId{1}, 4);
+  f.inventory.reserve_ot(*ot);
+  (void)f.inventory.snapshot();
   f.model.fail_link(LinkId{0});
-  EXPECT_EQ(f.inventory.published_snapshot(), s1);
-  EXPECT_FALSE(s1->available_on_link(LinkId{0}).empty());
-  f.model.repair_link(LinkId{0});
-}
+  const auto other =
+      f.inventory.snapshot()->find_free_ot(NodeId{0}, rates::k10G);
+  ASSERT_TRUE(other.has_value());
+  ASSERT_TRUE(f.model.ot(*other).tune(1).ok());
+  ASSERT_TRUE(f.model.ot(*other).activate().ok());
+  const auto s2 = f.inventory.snapshot();
+  EXPECT_TRUE(s2->available_on_link(LinkId{0}).empty());
 
-// --- multi-threaded publish atomicity --------------------------------------
-
-TEST(InventorySnapshot, ReadersNeverObserveHalfPublishedState) {
-  SnapshotFixture f;
-  constexpr dwdm::ChannelIndex kSentinel = 7;
-  constexpr std::size_t kGroup = 3;  // sentinel reserved on links 0..2
-  constexpr int kIterations = 2000;
-  const std::size_t n_links = f.model.graph().links().size();
-  ASSERT_GE(n_links, kGroup + 2);
-
-  // Prime: sentinel available on the whole group at start.
-  const auto s0 = f.inventory.snapshot();
-  for (std::size_t l = 0; l < kGroup; ++l)
-    ASSERT_TRUE(s0->available_on_link(LinkId{l}).contains(kSentinel));
-
-  std::atomic<bool> stop{false};
-  std::atomic<int> torn{0};
-  std::atomic<int> non_monotonic{0};
-  std::atomic<std::uint64_t> reads{0};
-
-  auto reader = [&] {
-    std::uint64_t last_seq = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      const auto snap = f.inventory.published_snapshot();
-      if (snap == nullptr) continue;
-      if (snap->publish_seq() < last_seq) ++non_monotonic;
-      last_seq = snap->publish_seq();
-      std::size_t excluded = 0;
-      for (std::size_t l = 0; l < kGroup; ++l)
-        if (!snap->available_on_link(LinkId{l}).contains(kSentinel))
-          ++excluded;
-      if (excluded != 0 && excluded != kGroup) ++torn;
-      ++reads;
-    }
-  };
-
-  std::vector<std::thread> readers;
-  for (int i = 0; i < 4; ++i) readers.emplace_back(reader);
-
-  // Make sure the readers are actually running before churning, and keep
-  // churning until they have observed a meaningful number of views —
-  // otherwise a fast writer finishes before the first read and the
-  // invariant is checked against nothing.
-  while (reads.load() == 0) std::this_thread::yield();
-
-  // Owner thread: all-or-nothing sentinel groups with noise in between.
-  // Publishes happen only at group boundaries, so a view with a partial
-  // group is a torn publish by construction.
-  constexpr std::uint64_t kMinReads = 20000;
-  constexpr int kMaxIterations = 400000;  // starvation backstop
-  for (int iter = 0;
-       iter < kIterations ||
-       (reads.load() < kMinReads && iter < kMaxIterations);
-       ++iter) {
-    for (std::size_t l = 0; l < kGroup; ++l)
-      f.inventory.reserve_channel(LinkId{l}, kSentinel);
-    (void)f.inventory.snapshot();
-
-    // Noise: other channels/links, OT reservations, device churn and a
-    // fiber cut on a non-group link — none may disturb the invariant.
-    const auto noise_link = LinkId{kGroup + (iter % (n_links - kGroup))};
-    const auto noise_ch =
-        static_cast<dwdm::ChannelIndex>((kSentinel + 1 + iter) % 16);
-    f.inventory.reserve_channel(noise_link, noise_ch);
-    if (iter % 7 == 0) {
-      if (const auto ot = f.inventory.find_free_ot(NodeId{1}, rates::k10G))
-        f.inventory.reserve_ot(*ot);
-    }
-    if (iter % 13 == 0) f.model.fail_link(noise_link);
-    (void)f.inventory.snapshot();
-    if (iter % 13 == 0) f.model.repair_link(noise_link);
-    f.inventory.release_channel(noise_link, noise_ch);
-    (void)f.inventory.snapshot();
-
-    for (std::size_t l = 0; l < kGroup; ++l)
-      f.inventory.release_channel(LinkId{l}, kSentinel);
-    (void)f.inventory.snapshot();
-  }
-
-  stop.store(true, std::memory_order_release);
-  for (auto& t : readers) t.join();
-
-  EXPECT_EQ(torn.load(), 0)
-      << "a reader saw the sentinel group half-applied";
-  EXPECT_EQ(non_monotonic.load(), 0)
-      << "publish_seq went backwards for a reader";
-  EXPECT_GT(reads.load(), 0u);
+  // The snapshot handed out first still shows the state it was built from.
+  for (std::size_t i = 0; i < links.size(); ++i)
+    EXPECT_EQ(s1->available_on_link(links[i].id), avail[i])
+        << "link " << links[i].id.value();
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    EXPECT_EQ(s1->free_ot_count(nodes[i].id, rates::k10G), free_ots[i])
+        << "node " << nodes[i].id.value();
+  EXPECT_EQ(s1->find_free_ot(NodeId{0}, rates::k10G), ot);
 }
 
 }  // namespace
