@@ -14,14 +14,21 @@ bool ot_is_free(const dwdm::Transponder& ot) {
 }  // namespace
 
 Inventory::~Inventory() {
-  if (listening_ != nullptr) listening_->set_device_observers({}, {});
+  if (listening_ != nullptr) listening_->set_device_observers({}, {}, {});
 }
 
 void Inventory::attach_device_listeners(NetworkModel* model) {
+  {
+    // Changes made before the attach went unobserved: the next snapshot()
+    // rebuilds, and from then on every change reaches an observer.
+    MutexLock lock(&mu_);
+    built_ = false;
+  }
   listening_ = model;
   model->set_device_observers(
       [this](const dwdm::Transponder& ot) { on_ot_changed(ot); },
-      [this](const dwdm::Regenerator& regen) { on_regen_changed(regen); });
+      [this](const dwdm::Regenerator& regen) { on_regen_changed(regen); },
+      [this](LinkId link) { on_link_changed(link); });
 }
 
 void Inventory::on_ot_changed(const dwdm::Transponder& ot) {
@@ -46,6 +53,19 @@ void Inventory::on_regen_changed(const dwdm::Regenerator& regen) {
   else
     detail::bit_clear(regen_device_free_bits_, regen.id().value());
   built_device_version_ = model_->device_version();
+  overlay_dirty_ = true;
+}
+
+void Inventory::on_link_changed(LinkId link) {
+  MutexLock lock(&mu_);
+  if (!built_ || link.value() >= device_avail_.size()) return;
+  refresh_link_locked(link);
+  // The observer fires after the model bumped plant_version() or
+  // topology_version(), and every change since the attach reaches an
+  // observer, so the built state is exactly the state at these versions
+  // and the next snapshot() skips the full rebuild.
+  built_plant_version_ = model_->plant_version();
+  built_topology_version_ = model_->topology_version();
   overlay_dirty_ = true;
 }
 
@@ -226,37 +246,49 @@ void Inventory::ensure_pools_locked() const {
   pools_ = std::move(pools);
 }
 
-void Inventory::ensure_usage_locked() const {
-  const std::uint64_t version = model_->plant_version();
-  if (usage_ && usage_version_ == version) return;
-  // Build into a local, then swap in: handed-out snapshots share the old
-  // table immutably, so it must never be mutated in place.
-  std::vector<std::size_t> table(model_->grid().count(), 0);
-  for (const auto& link : model_->graph().links()) {
-    const auto& roadm = model_->roadm_at(link.a);
-    const auto degree = roadm.degree_for(link.id);
-    if (!degree) continue;
-    roadm.used_channels(*degree).for_each([&table](dwdm::ChannelIndex ch) {
-      if (static_cast<std::size_t>(ch) < table.size()) ++table[ch];
-    });
-  }
-  usage_ = std::make_shared<const std::vector<std::size_t>>(std::move(table));
-  usage_version_ = version;
+dwdm::ChannelSet Inventory::a_end_used(LinkId link) const {
+  const auto& roadm = model_->roadm_at(model_->graph().link(link).a);
+  const auto degree = roadm.degree_for(link);
+  if (!degree) return {};
+  return roadm.used_channels(*degree);
+}
+
+void Inventory::refresh_link_locked(LinkId link) const {
+  const std::size_t i = link.value();
+  device_avail_[i] = device_availability(link);
+  net_avail_[i] = device_avail_[i];
+  if (i < reserved_by_link_.size())
+    net_avail_[i].subtract(reserved_by_link_[i]);
+
+  const dwdm::ChannelSet used = a_end_used(link);
+  if (used == a_end_used_[i]) return;
+  // Copy-on-write: a handed-out snapshot may still share the table.
+  if (usage_.use_count() > 1)
+    usage_ = std::make_shared<std::vector<std::size_t>>(*usage_);
+  std::vector<std::size_t>& table = *usage_;
+  dwdm::ChannelSet added = used;
+  added.subtract(a_end_used_[i]);
+  added.for_each([&table](dwdm::ChannelIndex ch) {
+    if (static_cast<std::size_t>(ch) < table.size()) ++table[ch];
+  });
+  dwdm::ChannelSet removed = a_end_used_[i];
+  removed.subtract(used);
+  removed.for_each([&table](dwdm::ChannelIndex ch) {
+    if (static_cast<std::size_t>(ch) < table.size()) --table[ch];
+  });
+  a_end_used_[i] = used;
 }
 
 void Inventory::rebuild_locked() const {
   ensure_pools_locked();
-  ensure_usage_locked();
   const auto& links = model_->graph().links();
   device_avail_.assign(links.size(), {});
   net_avail_.assign(links.size(), {});
-  for (const auto& link : links) {
-    dwdm::ChannelSet set = device_availability(link.id);
-    device_avail_[link.id.value()] = set;
-    if (link.id.value() < reserved_by_link_.size())
-      set.subtract(reserved_by_link_[link.id.value()]);
-    net_avail_[link.id.value()] = set;
-  }
+  a_end_used_.assign(links.size(), {});
+  // A fresh table, never one a handed-out snapshot shares.
+  usage_ = std::make_shared<std::vector<std::size_t>>(model_->grid().count(),
+                                                      0);
+  for (const auto& link : links) refresh_link_locked(link.id);
   ot_device_free_bits_.clear();
   for (const auto& ot : model_->ots())
     if (ot_is_free(*ot)) detail::bit_set(ot_device_free_bits_, ot->id().value());

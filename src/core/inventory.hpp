@@ -15,12 +15,16 @@
 //    to the incrementally-kept net availability in O(1) per change,
 //  * OT/regen lifecycle transitions reach the free bitmaps through the
 //    model's device observers (attach_device_listeners), O(1) each,
-//  * plant or topology changes (and pool growth) force one full rebuild
-//    from the model on the next snapshot().
+//  * ROADM cross-connects and fiber cuts/repairs reach the inventory
+//    through the model's link observer, which recomputes that one link's
+//    availability and usage contribution in O(channels/64),
+//  * the first snapshot, pool growth, or a model version change no
+//    observer reported force one full rebuild from the model.
 //
 // All members are guarded by `mu_` (DESIGN.md §15).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -84,6 +88,16 @@ class Inventory {
     [[nodiscard]] std::size_t free_regen_count(NodeId node,
                                                DataRate min_rate) const;
 
+    /// Free OTs / regens over every site and rate: the sum of
+    /// free_ot_count / free_regen_count over all sites at rate zero, as a
+    /// popcount of the free bitmaps.
+    [[nodiscard]] std::size_t free_ot_total() const noexcept {
+      return popcount(ot_free_bits_);
+    }
+    [[nodiscard]] std::size_t free_regen_total() const noexcept {
+      return popcount(regen_free_bits_);
+    }
+
     /// Number of links where channel `ch` is configured — input to the
     /// most-/least-used wavelength-assignment policies.
     [[nodiscard]] std::size_t channel_usage(dwdm::ChannelIndex ch) const {
@@ -94,6 +108,14 @@ class Inventory {
    private:
     friend class Inventory;
     Snapshot() = default;
+
+    static std::size_t popcount(
+        const std::vector<std::uint64_t>& bits) noexcept {
+      std::size_t n = 0;
+      for (const std::uint64_t w : bits)
+        n += static_cast<std::size_t>(std::popcount(w));
+      return n;
+    }
 
     // Site pools, shared immutably with the inventory. Entries carry the
     // devices' immutable attributes, so reads never touch a device.
@@ -125,14 +147,15 @@ class Inventory {
   Inventory(const Inventory&) = delete;
   Inventory& operator=(const Inventory&) = delete;
 
-  /// Register for per-device change callbacks on `model` (the same
-  /// deployment this inventory reads). From then on OT/regen lifecycle
-  /// transitions update the snapshot free bitmaps in O(1) under the lock
-  /// instead of forcing a full pool re-scan on the next snapshot() —
-  /// device-only churn (tune/activate/release trains) yields a new
-  /// snapshot without ever touching the model. The model has one observer
-  /// slot; the controller's inventory claims it, and the destructor
-  /// detaches.
+  /// Register for per-device and per-link change callbacks on `model` (the
+  /// same deployment this inventory reads). From then on OT/regen
+  /// lifecycle transitions update the snapshot free bitmaps in O(1), and
+  /// each ROADM degree a cross-connect touches, or each cut or repaired
+  /// fiber, updates that one link's availability and usage contribution,
+  /// under the lock. Changes made before the attach went unobserved, so
+  /// the next snapshot() rebuilds once; no later change forces a full
+  /// rescan of the plant. The model has one slot per observer kind; the
+  /// controller's inventory claims them, and the destructor detaches.
   void attach_device_listeners(NetworkModel* model) EXCLUDES(mu_);
 
   // --- reservation overlay ------------------------------------------------
@@ -172,9 +195,19 @@ class Inventory {
   /// device_version().
   void on_ot_changed(const dwdm::Transponder& ot) EXCLUDES(mu_);
   void on_regen_changed(const dwdm::Regenerator& regen) EXCLUDES(mu_);
+  /// Per-link delta off the model's link observer: fires after the model
+  /// bumped plant_version() (a ROADM degree facing `link` changed) or
+  /// topology_version() (`link` was cut or repaired).
+  void on_link_changed(LinkId link) EXCLUDES(mu_);
+
+  /// Channels in use on the degree facing `link` at its a-end ROADM — the
+  /// link's contribution to the usage table.
+  [[nodiscard]] dwdm::ChannelSet a_end_used(LinkId link) const;
+  /// Recompute one link's device and net availability and move its usage
+  /// contribution to the a-end ROADM's current used set.
+  void refresh_link_locked(LinkId link) const REQUIRES(mu_);
 
   void ensure_pools_locked() const REQUIRES(mu_);
-  void ensure_usage_locked() const REQUIRES(mu_);
   /// Full rebuild of the derived planning state from the model (link
   /// availability, device free bitmaps, pools, usage table).
   void rebuild_locked() const REQUIRES(mu_);
@@ -206,12 +239,14 @@ class Inventory {
   // handed-out snapshots.
   mutable std::shared_ptr<const PoolIndex> pools_ GUARDED_BY(mu_);
 
-  // Per-channel usage table (device state only, reservations excluded),
-  // recomputed when the model's plant version moves. Shared immutably
-  // with handed-out snapshots.
-  mutable std::shared_ptr<const std::vector<std::size_t>> usage_
-      GUARDED_BY(mu_);
-  mutable std::uint64_t usage_version_ GUARDED_BY(mu_) = 0;
+  // Per-channel usage table (device state only, reservations excluded):
+  // the number of links whose a-end degree uses each channel.
+  // `a_end_used_` (by link index) holds the used set each link last
+  // contributed, so a link delta edits only the channels that moved.
+  // Copy-on-write: handed-out snapshots share the table immutably, so a
+  // delta copies it first whenever a snapshot still holds it.
+  mutable std::shared_ptr<std::vector<std::size_t>> usage_ GUARDED_BY(mu_);
+  mutable std::vector<dwdm::ChannelSet> a_end_used_ GUARDED_BY(mu_);
 
   // Incrementally-maintained snapshot ingredients, valid while the model
   // version stamps below match the model. `device_avail_` is device-only

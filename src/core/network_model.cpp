@@ -17,7 +17,10 @@ NetworkModel::NetworkModel(sim::Engine* engine, topology::Graph graph,
                                                node.id, grid_);
     for (const LinkId link : graph_.links_at(node.id))
       roadm->attach_degree(link);
-    roadm->set_change_listener([this] { ++plant_version_; });
+    roadm->set_change_listener([this](LinkId link) {
+      ++plant_version_;
+      link_changed(link);
+    });
     roadms_.push_back(std::move(roadm));
     fxcs_.push_back(std::make_unique<fxc::Fxc>(
         FxcId{node.id.value()}, node.id, config_.fxc_ports_per_node));
@@ -247,7 +250,7 @@ void NetworkModel::fail_link(LinkId link) {
   if (link_failed_[link.value()]) return;
   link_failed_[link.value()] = true;
   ++topology_version_;
-  journal_topology_change(link, /*failed=*/true);
+  link_changed(link);
   if (telemetry_ != nullptr) {
     telemetry_
         ->metrics()
@@ -269,7 +272,7 @@ void NetworkModel::repair_link(LinkId link) {
   if (!link_failed_[link.value()]) return;
   link_failed_[link.value()] = false;
   ++topology_version_;
-  journal_topology_change(link, /*failed=*/false);
+  link_changed(link);
   if (telemetry_ != nullptr) {
     telemetry_
         ->metrics()
@@ -282,28 +285,6 @@ void NetworkModel::repair_link(LinkId link) {
   roadm_at(l.a).on_link_restored(link, engine_->now());
   roadm_at(l.b).on_link_restored(link, engine_->now());
   if (restorer_) restorer_->link_repaired(link);
-}
-
-void NetworkModel::journal_topology_change(LinkId link, bool failed) {
-  topology_journal_.push_back(
-      TopologyChange{topology_version_, link, failed});
-  if (topology_journal_.size() > kTopologyJournalCapacity)
-    topology_journal_.pop_front();
-}
-
-bool NetworkModel::topology_changes_since(
-    std::uint64_t since, std::vector<TopologyChange>* out) const {
-  out->clear();
-  if (since == topology_version_) return true;
-  if (since > topology_version_) return false;
-  // The journal holds consecutive versions ending at topology_version_;
-  // it covers `since` iff its oldest entry is at most since + 1.
-  if (topology_journal_.empty() ||
-      topology_journal_.front().version > since + 1)
-    return false;
-  for (const TopologyChange& change : topology_journal_)
-    if (change.version > since) out->push_back(change);
-  return true;
 }
 
 bool NetworkModel::link_failed(LinkId link) const {

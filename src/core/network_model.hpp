@@ -11,7 +11,6 @@
 // benches use the builders.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -90,16 +89,19 @@ class NetworkModel {
     return grid_;
   }
 
-  /// Monotonic counter bumped on every ROADM configuration change.
-  /// Caches derived from plant state (e.g. the Inventory's per-channel
-  /// usage table) compare against it to know when to recompute.
+  /// Monotonic counter bumped once per ROADM degree a configuration change
+  /// touches (twice for an express cross-connect), just before the link
+  /// observer hears of that degree's link. Caches derived from plant state
+  /// (the Inventory's link availability and usage table) compare against
+  /// it to detect a change they did not observe.
   [[nodiscard]] std::uint64_t plant_version() const noexcept {
     return plant_version_;
   }
 
   /// Monotonic counter bumped on every fiber cut/repair. Caches derived
-  /// from the *routable* topology (e.g. the RwaEngine's per-pair route
-  /// cache) compare against it to know when their routes may be stale.
+  /// from the *routable* topology compare against it: the Inventory to
+  /// detect a cut or repair it did not observe, the RwaEngine's route
+  /// cache to know when to re-read failed_links().
   [[nodiscard]] std::uint64_t topology_version() const noexcept {
     return topology_version_;
   }
@@ -112,30 +114,24 @@ class NetworkModel {
     return device_version_;
   }
 
-  /// Per-device change observers, invoked with the transitioned device
-  /// after device_version() has bumped. The controller's Inventory
-  /// registers here to maintain its free-OT/free-regen bitmaps in O(1)
-  /// per transition instead of re-scanning the pools. One observer each
-  /// (last registration wins); set empty to detach.
+  /// Change observers. The OT/regen observers get the transitioned device
+  /// after device_version() has bumped. The link observer gets the link of
+  /// every ROADM degree a configuration change touched (after
+  /// plant_version() has bumped) and of every fiber cut or repair (after
+  /// topology_version() has bumped, before any alarm is raised). The
+  /// controller's Inventory registers here to keep its free-OT/free-regen
+  /// bitmaps and its per-link availability and usage current in O(1) or
+  /// O(channels/64) per change instead of re-scanning the plant. One
+  /// observer each (last registration wins); set empty to detach.
   using OtObserver = std::function<void(const dwdm::Transponder&)>;
   using RegenObserver = std::function<void(const dwdm::Regenerator&)>;
-  void set_device_observers(OtObserver on_ot, RegenObserver on_regen) {
+  using LinkObserver = std::function<void(LinkId)>;
+  void set_device_observers(OtObserver on_ot, RegenObserver on_regen,
+                            LinkObserver on_link) {
     ot_observer_ = std::move(on_ot);
     regen_observer_ = std::move(on_regen);
+    link_observer_ = std::move(on_link);
   }
-
-  /// One fiber cut or repair, as recorded in the bounded topology journal.
-  struct TopologyChange {
-    std::uint64_t version = 0;  ///< topology_version() after the change
-    LinkId link{};
-    bool failed = false;  ///< true = cut, false = repair
-  };
-  /// Topology changes with version > `since`, oldest first, into `out`.
-  /// Returns false when the bounded journal no longer reaches back to
-  /// `since` — the caller must then treat every cached route as stale
-  /// (full invalidation) instead of replaying the delta.
-  [[nodiscard]] bool topology_changes_since(
-      std::uint64_t since, std::vector<TopologyChange>* out) const;
 
   [[nodiscard]] dwdm::Roadm& roadm_at(NodeId node);
   [[nodiscard]] const dwdm::Roadm& roadm_at(NodeId node) const;
@@ -216,9 +212,9 @@ class NetworkModel {
   [[nodiscard]] std::vector<LinkId> failed_links() const;
 
  private:
-  static constexpr std::size_t kTopologyJournalCapacity = 64;
-
-  void journal_topology_change(LinkId link, bool failed);
+  void link_changed(LinkId link) {
+    if (link_observer_) link_observer_(link);
+  }
 
   sim::Engine* engine_;
   topology::Graph graph_;
@@ -251,10 +247,7 @@ class NetworkModel {
   std::uint64_t device_version_ = 0;
   OtObserver ot_observer_;
   RegenObserver regen_observer_;
-  /// Newest-last ring of fiber cuts/repairs backing incremental
-  /// route-cache invalidation; consecutive versions, one entry per
-  /// topology_version_ bump.
-  std::deque<TopologyChange> topology_journal_;
+  LinkObserver link_observer_;
   IdAllocator<MuxponderId> nte_ids_;
   IdAllocator<TransponderId> ot_ids_;
   IdAllocator<RegenId> regen_ids_;

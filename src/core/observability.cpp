@@ -40,19 +40,13 @@ double breaker_level(EmsHealthTracker::BreakerState s) {
 void install_standard_probes(telemetry::GaugeSampler& sampler,
                              GriphonController& controller,
                              NetworkModel& model) {
-  sampler.add_probe("ot_pool_free", "count", [&controller, &model] {
-    const auto snap = controller.inventory().snapshot();
-    std::size_t n = 0;
-    for (const auto& node : model.graph().nodes())
-      n += snap->free_ot_count(node.id, DataRate{});
-    return static_cast<double>(n);
+  sampler.add_probe("ot_pool_free", "count", [&controller] {
+    return static_cast<double>(
+        controller.inventory().snapshot()->free_ot_total());
   });
-  sampler.add_probe("regen_pool_free", "count", [&controller, &model] {
-    const auto snap = controller.inventory().snapshot();
-    std::size_t n = 0;
-    for (const auto& node : model.graph().nodes())
-      n += snap->free_regen_count(node.id, DataRate{});
-    return static_cast<double>(n);
+  sampler.add_probe("regen_pool_free", "count", [&controller] {
+    return static_cast<double>(
+        controller.inventory().snapshot()->free_regen_total());
   });
   sampler.add_probe("inventory_reservations", "count", [&controller] {
     return static_cast<double>(controller.inventory().reservations());

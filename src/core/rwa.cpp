@@ -1,6 +1,7 @@
 #include "core/rwa.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "core/network_model.hpp"
 #include "telemetry/telemetry.hpp"
@@ -58,9 +59,10 @@ RwaEngine::TelemetryHandles RwaEngine::sync_telemetry_locked() const {
       m.counter("griphon_rwa_plans_total", "Wavelength plan attempts");
   h.plans_failed = m.counter("griphon_rwa_plans_failed_total",
                              "Plan attempts that found no viable plan");
-  h.cache_evictions =
-      m.counter("griphon_rwa_route_cache_evicted_total",
-                "Route-cache entries evicted by incremental invalidation");
+  h.cache_evictions = m.counter(
+      "griphon_rwa_route_cache_evicted_total",
+      "Route-cache entries evicted because a link down when they were "
+      "computed was repaired");
   handles_ = h;
   return handles_;
 }
@@ -70,8 +72,8 @@ RwaEngine::TelemetryHandles RwaEngine::telemetry_handles() const {
   return sync_telemetry_locked();
 }
 
-std::size_t RwaEngine::RouteKeyHash::operator()(
-    const RouteKey& k) const noexcept {
+std::size_t RwaEngine::PairKeyHash::operator()(
+    const PairKey& k) const noexcept {
   // FNV-1a over the key's words; equality still compares in full, so a
   // collision only costs a probe, never a wrong answer.
   std::uint64_t h = 1469598103934665603ull;
@@ -81,44 +83,35 @@ std::size_t RwaEngine::RouteKeyHash::operator()(
   };
   mix(k.src);
   mix(k.dst);
-  mix(k.excluded_links.size());
-  for (const std::uint64_t v : k.excluded_links) mix(v);
   for (const std::uint64_t v : k.excluded_nodes) mix(v);
   return static_cast<std::size_t>(h);
 }
 
-void RwaEngine::invalidate_cache_locked(const TelemetryHandles& t) const {
+void RwaEngine::sync_failed_locked(const TelemetryHandles& t) const {
   if (route_cache_version_ == model_->topology_version()) return;
-  // A fiber cut only *removes* paths: an entry whose cached candidates
-  // avoid every cut link is still exactly the k shortest of the reduced
-  // graph, so only traversing entries need to go. A repair can surface
-  // better routes for any pair, and a journal gap hides unknown changes
-  // — both fall back to the old full clear.
-  std::vector<NetworkModel::TopologyChange> changes;
-  bool selective =
-      model_->topology_changes_since(route_cache_version_, &changes);
-  for (const NetworkModel::TopologyChange& change : changes)
-    if (!change.failed) selective = false;
-  if (selective) {
-    const auto traverses_cut = [&changes](const topology::Path& p) {
+  std::vector<std::uint64_t> failed;
+  for (const LinkId l : model_->failed_links()) failed.push_back(l.value());
+  // Every entry stays exact for its key, cut or no cut. An entry computed
+  // while a now-repaired link was down only serves a failure set that may
+  // never recur, so it goes.
+  std::vector<std::uint64_t> repaired;
+  std::set_difference(failed_.begin(), failed_.end(), failed.begin(),
+                      failed.end(), std::back_inserter(repaired));
+  if (!repaired.empty()) {
+    const auto down_when_computed = [&repaired](const RouteEntry& e) {
       return std::any_of(
-          changes.begin(), changes.end(),
-          [&p](const NetworkModel::TopologyChange& change) {
-            return std::find(p.links.begin(), p.links.end(), change.link) !=
-                   p.links.end();
+          repaired.begin(), repaired.end(), [&e](std::uint64_t l) {
+            return std::binary_search(e.failed.begin(), e.failed.end(), l);
           });
     };
     for (auto it = route_cache_.begin(); it != route_cache_.end();) {
-      if (std::any_of(it->second.begin(), it->second.end(), traverses_cut)) {
-        if (t.cache_evictions != nullptr) t.cache_evictions->inc();
-        it = route_cache_.erase(it);
-      } else {
-        ++it;
-      }
+      const std::size_t evicted = it->second.remove_if(down_when_computed);
+      if (t.cache_evictions != nullptr && evicted > 0)
+        t.cache_evictions->inc(evicted);
+      it = it->second.empty() ? route_cache_.erase(it) : std::next(it);
     }
-  } else {
-    route_cache_.clear();
   }
+  failed_ = std::move(failed);
   route_cache_version_ = model_->topology_version();
 }
 
@@ -127,37 +120,63 @@ const std::vector<topology::Path>& RwaEngine::candidate_routes(
   MutexLock lock(&mu_);
   // External callers (BoD scheduler) skip plan(), so sync here too.
   const TelemetryHandles t = sync_telemetry_locked();
-  invalidate_cache_locked(t);
-  RouteKey key;
+  sync_failed_locked(t);
+  PairKey key;
   key.src = src.value();
   key.dst = dst.value();
-  key.excluded_links.reserve(exclude.links.size());
-  for (const LinkId l : exclude.links) key.excluded_links.push_back(l.value());
   key.excluded_nodes.reserve(exclude.nodes.size());
   for (const NodeId n : exclude.nodes) key.excluded_nodes.push_back(n.value());
-  const auto [it, inserted] = route_cache_.try_emplace(std::move(key));
-  if (t.cache_hits != nullptr)
-    (inserted ? t.cache_misses : t.cache_hits)->inc();
-  if (inserted) {
-    // Same query the uncached path used to issue, so cache hits and misses
-    // yield byte-identical candidate lists.
-    const auto filter = [&](const topology::Link& l) {
-      if (model_->link_failed(l.id)) return false;
-      if (exclude.links.contains(l.id)) return false;
-      if (exclude.nodes.contains(l.a) || exclude.nodes.contains(l.b)) {
-        // Interior exclusion: allow links touching src/dst themselves.
-        const bool endpoint_ok =
-            (l.a == src || l.a == dst || !exclude.nodes.contains(l.a)) &&
-            (l.b == src || l.b == dst || !exclude.nodes.contains(l.b));
-        if (!endpoint_ok) return false;
-      }
-      return true;
-    };
-    it->second = topology::k_shortest_paths(model_->graph(), src, dst,
-                                            params_.route_candidates,
-                                            topology::distance_weight(), filter);
+  std::vector<std::uint64_t> banned;  // excluded ∪ failed, sorted
+  banned.reserve(exclude.links.size() + failed_.size());
+  for (const LinkId l : exclude.links) banned.push_back(l.value());
+  const auto failed_begin =
+      banned.insert(banned.end(), failed_.begin(), failed_.end());
+  std::inplace_merge(banned.begin(), failed_begin, banned.end());
+  banned.erase(std::unique(banned.begin(), banned.end()), banned.end());
+
+  // An entry serves the query when it banned a subset of the query's
+  // links and none of its routes uses a link the query bans (its routes
+  // never use its own banned links): the k shortest paths of the larger
+  // graph then all survive in the smaller one, so they are its k
+  // shortest too. An exact key (equal sets) needs no route scan.
+  std::list<RouteEntry>& entries = route_cache_[std::move(key)];
+  const auto uses_banned = [&banned](const topology::Path& p) {
+    return std::any_of(p.links.begin(), p.links.end(), [&banned](LinkId l) {
+      return std::binary_search(banned.begin(), banned.end(), l.value());
+    });
+  };
+  for (const RouteEntry& e : entries) {
+    if (!std::includes(banned.begin(), banned.end(), e.banned.begin(),
+                       e.banned.end()))
+      continue;
+    const bool exact = e.banned.size() == banned.size();
+    if (!exact && std::any_of(e.routes.begin(), e.routes.end(), uses_banned))
+      continue;
+    if (t.cache_hits != nullptr) t.cache_hits->inc();
+    return e.routes;
   }
-  return it->second;
+
+  if (t.cache_misses != nullptr) t.cache_misses->inc();
+  // Same query the uncached path used to issue, so cache hits and misses
+  // yield byte-identical candidate lists.
+  const auto filter = [&](const topology::Link& l) {
+    if (model_->link_failed(l.id)) return false;
+    if (exclude.links.contains(l.id)) return false;
+    if (exclude.nodes.contains(l.a) || exclude.nodes.contains(l.b)) {
+      // Interior exclusion: allow links touching src/dst themselves.
+      const bool endpoint_ok =
+          (l.a == src || l.a == dst || !exclude.nodes.contains(l.a)) &&
+          (l.b == src || l.b == dst || !exclude.nodes.contains(l.b));
+      if (!endpoint_ok) return false;
+    }
+    return true;
+  };
+  entries.push_back(RouteEntry{
+      std::move(banned), failed_,
+      topology::k_shortest_paths(model_->graph(), src, dst,
+                                 params_.route_candidates,
+                                 topology::distance_weight(), filter)});
+  return entries.back().routes;
 }
 
 Result<WavelengthPlan> RwaEngine::plan(NodeId src, NodeId dst, DataRate rate,

@@ -12,14 +12,17 @@
 //
 // Planning state (availability, pools, usage) comes from one
 // Inventory::Snapshot taken at the top of plan(): the inventory keeps it
-// current from observer-maintained device free bitmaps and the
-// reservation overlay, versioned by the model's plant/topology/device
-// stamps, so every candidate route is judged against the same state. The
-// route cache and cached metric handles are guarded by `mu_` (DESIGN.md
-// §15).
+// current from observer-maintained device free bitmaps, per-link deltas
+// and the reservation overlay, so every candidate route is judged against
+// the same state. Candidate routes come from a cache keyed on everything
+// Yen's sees — the pair, the excluded nodes and the banned links
+// (exclusions plus currently failed links) — so an entry is never stale.
+// The route cache and cached metric handles are guarded by `mu_`
+// (DESIGN.md §7, §15).
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -90,16 +93,20 @@ class RwaEngine {
       std::size_t first_link, std::size_t last_link) const;
 
   /// Candidate routes for (src, dst) under `exclude`, memoized. Routes
-  /// depend only on the graph, the failed-link set, k, the weight function
-  /// and the exclusions — the first two are versioned by the model's
-  /// topology_version(), k and weights fixed per engine, and the
-  /// exclusions are part of the cache key — so steady-state planning
-  /// (including restoration and BoD re-scheduling, which plan around the
-  /// same failed links repeatedly) skips Yen's entirely. Public so the BoD
-  /// TransferScheduler can share routes without planning wavelengths.
-  /// The returned reference stays valid until the next topology change
-  /// clears the cache — callers use it within one planning pass, on the
-  /// thread that owns model mutations.
+  /// depend only on the graph, k, the weight function and the banned
+  /// links and nodes; k and weights are fixed per engine, so an entry is
+  /// keyed on (src, dst, excluded nodes, excluded links ∪ failed links)
+  /// and is never stale. A query with no exact entry reuses one whose
+  /// banned links are a subset of its own when none of the cached routes
+  /// uses a link in the difference: banning links no route uses leaves
+  /// the k shortest unchanged. So steady-state planning, restoration
+  /// (which plans around the same failed links repeatedly) and planning
+  /// after a repair skip Yen's. Public so the BoD TransferScheduler can
+  /// share routes without planning wavelengths. The returned reference
+  /// stays valid until the entry is evicted — only a repair of a link
+  /// that was down when the entry was computed evicts it — so callers use
+  /// it within one planning pass, on the thread that owns model
+  /// mutations.
   [[nodiscard]] const std::vector<topology::Path>& candidate_routes(
       NodeId src, NodeId dst, const Exclusions& exclude = {}) const
       EXCLUDES(mu_);
@@ -116,13 +123,10 @@ class RwaEngine {
     telemetry::Counter* cache_evictions = nullptr;
   };
 
-  /// Bring the route cache up to the model's topology_version(): replay
-  /// the failure journal and evict only entries whose cached candidates
-  /// traverse a cut link; fall back to a full clear on repairs or a
-  /// journal gap (see the comment in the implementation for why that
-  /// split is decision-identical to always clearing).
-  void invalidate_cache_locked(const TelemetryHandles& t) const
-      REQUIRES(mu_);
+  /// Bring `failed_` up to the model's topology_version() and evict the
+  /// entries computed while a now-repaired link was down: they are still
+  /// correct for their key, but that failure set may never recur.
+  void sync_failed_locked(const TelemetryHandles& t) const REQUIRES(mu_);
 
   [[nodiscard]] dwdm::ChannelIndex pick_channel(
       const dwdm::ChannelSet& candidates,
@@ -134,17 +138,25 @@ class RwaEngine {
   TelemetryHandles sync_telemetry_locked() const REQUIRES(mu_);
   [[nodiscard]] TelemetryHandles telemetry_handles() const EXCLUDES(mu_);
 
-  /// Full cache key: pair + exclusions (compared, not just hashed, so a
-  /// hash collision can never serve the wrong candidate list).
-  struct RouteKey {
+  /// Per-pair index key: the part of a query an entry must match exactly
+  /// (compared, not just hashed, so a hash collision can never serve the
+  /// wrong candidate list).
+  struct PairKey {
     std::uint64_t src = 0;
     std::uint64_t dst = 0;
-    std::vector<std::uint64_t> excluded_links;  ///< sorted (set order)
     std::vector<std::uint64_t> excluded_nodes;  ///< sorted (set order)
-    bool operator==(const RouteKey&) const = default;
+    bool operator==(const PairKey&) const = default;
   };
-  struct RouteKeyHash {
-    std::size_t operator()(const RouteKey& k) const noexcept;
+  struct PairKeyHash {
+    std::size_t operator()(const PairKey& k) const noexcept;
+  };
+  /// One Yen's run. `banned` is every link its filter rejected: the
+  /// query's excluded links plus `failed`, the links down when it ran.
+  /// Both sorted.
+  struct RouteEntry {
+    std::vector<std::uint64_t> banned;
+    std::vector<std::uint64_t> failed;
+    std::vector<topology::Path> routes;
   };
 
   const NetworkModel* model_;
@@ -153,9 +165,12 @@ class RwaEngine {
 
   mutable Mutex mu_;
 
-  mutable std::unordered_map<RouteKey, std::vector<topology::Path>,
-                             RouteKeyHash>
+  // Entries per pair, oldest first; a list so references handed out by
+  // candidate_routes() survive later insertions.
+  mutable std::unordered_map<PairKey, std::list<RouteEntry>, PairKeyHash>
       route_cache_ GUARDED_BY(mu_);
+  // The model's failed links (sorted ids) as of route_cache_version_.
+  mutable std::vector<std::uint64_t> failed_ GUARDED_BY(mu_);
   mutable std::uint64_t route_cache_version_ GUARDED_BY(mu_) = 0;
 
   // Metric handles cached against the sink they came from (plan() is the

@@ -69,7 +69,8 @@ Status Roadm::configure_express(ChannelIndex ch, DegreeIndex in,
   uses_[static_cast<std::size_t>(out)][ch] = use;
   used_sets_[static_cast<std::size_t>(in)].add(ch);
   used_sets_[static_cast<std::size_t>(out)].add(ch);
-  changed();
+  changed(in);
+  changed(out);
   return Status::success();
 }
 
@@ -89,7 +90,8 @@ Status Roadm::release_express(ChannelIndex ch, DegreeIndex in,
   mout.erase(oi);
   used_sets_[static_cast<std::size_t>(in)].remove(ch);
   used_sets_[static_cast<std::size_t>(out)].remove(ch);
-  changed();
+  changed(in);
+  changed(out);
   return Status::success();
 }
 
@@ -117,7 +119,7 @@ Status Roadm::configure_add_drop(PortId p, DegreeIndex degree,
   use.port = p;
   uses_[static_cast<std::size_t>(degree)][ch] = use;
   used_sets_[static_cast<std::size_t>(degree)].add(ch);
-  changed();
+  changed(degree);
   return Status::success();
 }
 
@@ -127,12 +129,13 @@ Status Roadm::release_add_drop(PortId p) {
   PortState& st = ports_[p.value()];
   if (!st.active)
     return Status{ErrorCode::kConflict, name() + ": port not configured"};
-  uses_[static_cast<std::size_t>(st.degree)].erase(st.channel);
-  used_sets_[static_cast<std::size_t>(st.degree)].remove(st.channel);
+  const DegreeIndex degree = st.degree;
+  uses_[static_cast<std::size_t>(degree)].erase(st.channel);
+  used_sets_[static_cast<std::size_t>(degree)].remove(st.channel);
   st.active = false;
   st.degree = -1;
   st.channel = kNoChannel;
-  changed();
+  changed(degree);
   return Status::success();
 }
 

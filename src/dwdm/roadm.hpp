@@ -105,10 +105,12 @@ class Roadm {
   [[nodiscard]] std::vector<ActiveUse> uses() const;
 
   /// Invoked after every successful configuration change (express or
-  /// add/drop, configure or release). The NetworkModel uses this to bump a
-  /// plant-wide version counter that caches (e.g. the Inventory's
-  /// per-channel usage table) key their invalidation on.
-  using ChangeListener = std::function<void()>;
+  /// add/drop, configure or release), once per degree the change touched,
+  /// with the link that degree faces: both links of an express
+  /// cross-connect, the one link of an add/drop. The NetworkModel bumps
+  /// its plant version and forwards the link to its link observer, so the
+  /// Inventory recomputes that link alone instead of rescanning the plant.
+  using ChangeListener = std::function<void(LinkId)>;
   void set_change_listener(ChangeListener listener) {
     change_listener_ = std::move(listener);
   }
@@ -134,8 +136,9 @@ class Roadm {
   }
   void raise(AlarmType type, LinkId link, ChannelIndex ch, SimTime now,
              std::string detail);
-  void changed() {
-    if (change_listener_) change_listener_();
+  void changed(DegreeIndex degree) {
+    if (change_listener_)
+      change_listener_(degree_links_[static_cast<std::size_t>(degree)]);
   }
 
   RoadmId id_;

@@ -4,11 +4,12 @@
 // The snapshot's indexed, incrementally-maintained state (per-link net
 // availability edited on every reservation, per-site OT/regen pools with
 // free bitmaps kept by the model's device observers, the cached
-// per-channel usage table) must agree with the brute-force definitions it
-// replaced: full scans over the reservation list, the global OT/regen
-// vectors and every link. The references below are verbatim
-// re-implementations of the pre-index logic; a seeded random
-// reserve/release/configure workload checks agreement between mutations.
+// per-channel usage table, per-link deltas off the model's link observer)
+// must agree with the brute-force definitions it replaced: full scans
+// over the reservation list, the global OT/regen vectors and every link.
+// The references below are verbatim re-implementations of the pre-index
+// logic; a seeded random reserve/release/configure/cut/repair workload
+// checks agreement between mutations.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -149,6 +150,10 @@ struct EquivFixture {
     return NodeId{static_cast<std::uint64_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(model.graph().nodes().size()) - 1))};
   }
+  PortId random_port(const dwdm::Roadm& roadm) {
+    return PortId{static_cast<std::uint64_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(roadm.port_count()) - 1))};
+  }
   dwdm::ChannelIndex random_channel() {
     return static_cast<dwdm::ChannelIndex>(rng.uniform_int(
         0, static_cast<std::int64_t>(model.grid().count()) - 1));
@@ -157,7 +162,7 @@ struct EquivFixture {
   /// One random mutation applied to both the indexed inventory and the
   /// brute-force reference (and, for device-state ops, to the plant).
   void step() {
-    switch (rng.uniform_int(0, 11)) {
+    switch (rng.uniform_int(0, 15)) {
       case 0: {  // reserve a channel
         const LinkId l = random_link();
         const dwdm::ChannelIndex ch = random_channel();
@@ -267,6 +272,28 @@ struct EquivFixture {
         (void)model.regen(id).release();
         break;
       }
+      case 12:  // plant: cut a fiber (no-op if already down)
+        model.fail_link(random_link());
+        break;
+      case 13:  // plant: repair a fiber (no-op if up)
+        model.repair_link(random_link());
+        break;
+      case 14: {  // device state: add/drop at either end of a link
+        const LinkId l = random_link();
+        const auto& link = model.graph().link(l);
+        auto& roadm = model.roadm_at(rng.chance(0.5) ? link.a : link.b);
+        const auto degree = roadm.degree_for(l);
+        if (degree)
+          (void)roadm.configure_add_drop(random_port(roadm), *degree,
+                                         random_channel());
+        break;
+      }
+      case 15: {  // device state: release an add/drop port
+        const NodeId node = random_node();
+        auto& roadm = model.roadm_at(node);
+        (void)roadm.release_add_drop(random_port(roadm));
+        break;
+      }
       default:
         break;
     }
@@ -310,6 +337,15 @@ struct EquivFixture {
                   reference.find_free_regen(node.id, rates::k10G, excl));
       }
     }
+    // The pool gauges' totals: the sum of the per-site counts at any rate.
+    std::size_t ots = 0;
+    std::size_t regens = 0;
+    for (const auto& node : model.graph().nodes()) {
+      ots += reference.free_ot_count(node.id, DataRate{});
+      regens += reference.free_regen_count(node.id, DataRate{});
+    }
+    ASSERT_EQ(snap->free_ot_total(), ots);
+    ASSERT_EQ(snap->free_regen_total(), regens);
   }
 
   sim::Engine engine;
@@ -339,8 +375,9 @@ TEST(InventoryEquivalence, PaperTestbed10kOps) {
 }
 
 // A snapshot after every single mutation: each reservation edit of the
-// net availability and each device-observer bit flip is checked right
-// after it happens, before a later full rebuild could mask a wrong edit.
+// net availability, each device-observer bit flip and each link delta
+// (cross-connect at either end, cut, repair) is checked right after it
+// happens, before a later change to the same link could mask a wrong edit.
 TEST(InventoryEquivalence, PaperTestbedEveryOp) {
   run_property(topology::paper_testbed().graph, 4242, 3000, 1);
 }

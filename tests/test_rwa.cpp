@@ -312,10 +312,28 @@ TEST_F(RwaFixture, RouteCacheKeysOnExclusions) {
   EXPECT_EQ(misses(), 2u);
   EXPECT_EQ(hits(), 3u);
 
-  // A topology change invalidates every entry, exclusion-keyed or not.
+  // A cut keeps every entry (each is exact for its own key), but queries
+  // now also ban the cut link, and the constrained entry's routes use
+  // I-III: the pair recomputes around the cut.
   model.fail_link(topo.i_iii);
+  const auto& around_cut = rwa.candidate_routes(topo.i, topo.iv, avoid);
+  EXPECT_EQ(misses(), 3u);
+  for (const auto& path : around_cut) {
+    EXPECT_FALSE(path.uses_link(topo.i_iv));
+    EXPECT_FALSE(path.uses_link(topo.i_iii));
+  }
+
+  // The repair evicts only the entry computed while I-III was down; the
+  // two entries from before the cut answer again.
+  model.repair_link(topo.i_iii);
+  (void)rwa.candidate_routes(topo.i, topo.iv);
   (void)rwa.candidate_routes(topo.i, topo.iv, avoid);
   EXPECT_EQ(misses(), 3u);
+  EXPECT_EQ(hits(), 5u);
+  EXPECT_EQ(tel.metrics()
+                .find_counter("griphon_rwa_route_cache_evicted_total")
+                ->value(),
+            1u);
   model.attach_telemetry(nullptr);
 }
 
@@ -342,28 +360,138 @@ TEST_F(RwaFixture, FailureEvictsOnlyRoutesTraversingCutLink) {
   (void)narrow.candidate_routes(topo.ii, topo.iii);  // route: [ii_iii]
   EXPECT_EQ(hits(), 0u);
 
-  // A cut on I-IV touches exactly one cached entry. The survivors keep
-  // answering from the cache — the hit rate no longer collapses to zero
-  // on every unrelated failure.
+  // A cut on I-IV evicts nothing: every entry stays exact for its key.
+  // Entries whose routes avoid the cut keep answering for the cut plant,
+  // so the hit rate does not collapse on an unrelated failure.
   model.fail_link(topo.i_iv);
   (void)narrow.candidate_routes(topo.i, topo.iii);
   (void)narrow.candidate_routes(topo.ii, topo.iii);
   EXPECT_EQ(hits(), 2u);
-  EXPECT_EQ(evictions(), 1u);
-  // The evicted pair recomputes around the cut.
+  EXPECT_EQ(evictions(), 0u);
+  // The one entry whose route crosses the cut is not reused: the pair
+  // recomputes around the cut.
   const auto& rerouted = narrow.candidate_routes(topo.i, topo.iv);
   ASSERT_FALSE(rerouted.empty());
   EXPECT_FALSE(rerouted.front().uses_link(topo.i_iv));
   EXPECT_EQ(hits(), 2u);
 
-  // Repair restores capacity everywhere: anything cached might be
-  // improvable, so the whole cache drops (no eviction counter — this is
-  // the full-clear path).
+  // The repair evicts only the entry computed while I-IV was down. Every
+  // entry from before the cut, including the one crossing I-IV, answers
+  // again without a Yen's run.
   model.repair_link(topo.i_iv);
   (void)narrow.candidate_routes(topo.i, topo.iii);
-  EXPECT_EQ(hits(), 2u);
+  EXPECT_EQ(hits(), 3u);
   EXPECT_EQ(evictions(), 1u);
   EXPECT_EQ(narrow.candidate_routes(topo.i, topo.iv).front().hops(), 1u);
+  EXPECT_EQ(hits(), 4u);
+  model.attach_telemetry(nullptr);
+}
+
+}  // namespace
+}  // namespace griphon::core
+
+namespace griphon::core {
+namespace {
+
+// Oracle for the route cache: after every cut, repair or query on a
+// 50-node mesh, the cached candidates equal an uncached Yen's run under
+// the same filter (failed links, excluded links, interior-excluded
+// nodes). The op mix revisits a few pairs with exclusion sets drawn from
+// their own routes, so exact hits, subset reuse across cuts and
+// eviction on repair all take part.
+TEST(RwaRouteCache, MatchesUncachedYenUnderCutsRepairsAndExclusions) {
+  sim::Engine engine{17};
+  Rng rng(17);
+  NetworkModel::Config cfg;
+  cfg.channels = 8;
+  cfg.ots_per_node = 1;
+  cfg.regens_per_node = 0;
+  cfg.with_otn = false;
+  NetworkModel model(&engine, topology::random_mesh(50, 3.2, rng), cfg);
+  Inventory inventory(&model);
+  RwaEngine rwa(&model, &inventory, RwaEngine::Params{});
+  telemetry::Telemetry tel(&engine);
+  model.attach_telemetry(&tel);
+  const auto counter = [&](const char* name) -> std::uint64_t {
+    const auto* c = tel.metrics().find_counter(name);
+    return c == nullptr ? 0 : c->value();
+  };
+
+  const auto& g = model.graph();
+  const auto n = static_cast<std::int64_t>(g.nodes().size());
+  const auto links = static_cast<std::int64_t>(g.links().size());
+  const auto uncached = [&](NodeId src, NodeId dst, const Exclusions& ex) {
+    const auto filter = [&](const topology::Link& l) {
+      if (model.link_failed(l.id) || ex.links.contains(l.id)) return false;
+      const auto interior = [&](NodeId v) {
+        return v != src && v != dst && ex.nodes.contains(v);
+      };
+      return !interior(l.a) && !interior(l.b);
+    };
+    return topology::k_shortest_paths(g, src, dst, 4,
+                                      topology::distance_weight(), filter);
+  };
+
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  while (pairs.size() < 6) {
+    const NodeId a{static_cast<std::uint64_t>(rng.uniform_int(0, n - 1))};
+    const NodeId b{static_cast<std::uint64_t>(rng.uniform_int(0, n - 1))};
+    if (a != b) pairs.emplace_back(a, b);
+  }
+  for (int op = 0; op < 600; ++op) {
+    const double roll = rng.uniform(0.0, 1.0);
+    if (roll < 0.12) {
+      model.fail_link(LinkId{static_cast<std::uint64_t>(
+          rng.uniform_int(0, links - 1))});
+    } else if (roll < 0.22) {
+      const auto failed = model.failed_links();
+      if (!failed.empty())
+        model.repair_link(failed[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(failed.size()) - 1))]);
+    }
+    const auto [src, dst] = pairs[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pairs.size()) - 1))];
+    Exclusions ex;
+    const auto base = uncached(src, dst, {});
+    if (rng.chance(0.5) && !base.empty()) {
+      // A link of one of the pair's own routes (so some cached entries
+      // cross it and some do not), sometimes plus a random one.
+      const auto& path = base[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(base.size()) - 1))];
+      ex.links.insert(path.links[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(path.links.size()) - 1))]);
+      if (rng.chance(0.3))
+        ex.links.insert(LinkId{static_cast<std::uint64_t>(
+            rng.uniform_int(0, links - 1))});
+    }
+    if (rng.chance(0.2))
+      ex.nodes.insert(
+          NodeId{static_cast<std::uint64_t>(rng.uniform_int(0, n - 1))});
+    ASSERT_EQ(rwa.candidate_routes(src, dst, ex), uncached(src, dst, ex))
+        << "op " << op;
+  }
+  // Every path through the cache was taken.
+  EXPECT_GT(counter("griphon_rwa_route_cache_hits_total"), 0u);
+  EXPECT_GT(counter("griphon_rwa_route_cache_misses_total"), 0u);
+  EXPECT_GT(counter("griphon_rwa_route_cache_evicted_total"), 0u);
+
+  // On a fresh cache, an entry computed with no link down survives a cut
+  // and repair of a link its own routes use.
+  for (const LinkId l : model.failed_links()) model.repair_link(l);
+  RwaEngine fresh(&model, &inventory, RwaEngine::Params{});
+  const auto [src, dst] = pairs.front();
+  const auto crossed =
+      fresh.candidate_routes(src, dst).front().links.front();
+  const std::uint64_t hits = counter("griphon_rwa_route_cache_hits_total");
+  const std::uint64_t misses =
+      counter("griphon_rwa_route_cache_misses_total");
+  model.fail_link(crossed);
+  ASSERT_EQ(fresh.candidate_routes(src, dst), uncached(src, dst, {}));
+  EXPECT_EQ(counter("griphon_rwa_route_cache_misses_total"), misses + 1);
+  model.repair_link(crossed);
+  ASSERT_EQ(fresh.candidate_routes(src, dst), uncached(src, dst, {}));
+  EXPECT_EQ(counter("griphon_rwa_route_cache_hits_total"), hits + 1);
+  EXPECT_EQ(counter("griphon_rwa_route_cache_misses_total"), misses + 1);
   model.attach_telemetry(nullptr);
 }
 
