@@ -63,14 +63,10 @@ bool ReservationCalendar::feasible(const std::vector<LinkId>& links,
 
 Result<Window> ReservationCalendar::earliest_feasible(
     const std::vector<LinkId>& links, DataRate rate, SimTime duration,
-    SimTime not_before) const {
+    SimTime not_before, SimTime end_before) const {
   if (duration <= SimTime{})
     return Error{ErrorCode::kInvalidArgument,
                  "calendar: window duration must be positive"};
-  for (const LinkId link : links)
-    if (rate > link_capacity(link))
-      return Error{ErrorCode::kResourceExhausted,
-                   "calendar: rate exceeds link capacity budget"};
 
   const SlotIndex slots_needed =
       std::max<SlotIndex>(1, (duration.count() + params_.slot.count() - 1) /
@@ -82,20 +78,42 @@ Result<Window> ReservationCalendar::earliest_feasible(
   const SlotIndex limit =
       start + params_.horizon.count() / params_.slot.count();
 
-  while (start < limit) {
-    // Check slots [start, start+needed) across all links; on the first
-    // full slot, restart just past it (classic earliest-gap scan).
+  // One forward-only cursor per link that carries commitments: capacity
+  // and slot map are looked up once per call, and every slot the cursor
+  // has passed is either before the candidate start or known not to block,
+  // so each committed slot is read at most once however often the search
+  // restarts.
+  struct Cursor {
+    DataRate cap;
+    std::map<SlotIndex, DataRate>::const_iterator it, end;
+  };
+  std::vector<Cursor> cursors;
+  cursors.reserve(links.size());
+  for (const LinkId link : links) {
+    const DataRate cap = link_capacity(link);
+    if (rate > cap)
+      return Error{ErrorCode::kResourceExhausted,
+                   "calendar: rate exceeds link capacity budget"};
+    const auto it = committed_.find(link);
+    if (it != committed_.end())
+      cursors.push_back({cap, it->second.lower_bound(start), it->second.end()});
+  }
+
+  // Windows must end strictly before end_before: ws + duration < end_before.
+  const SimTime last_start_before = end_before - duration;
+  while (start < limit &&
+         SimTime{start * params_.slot.count()} < last_start_before) {
+    // Find each link's first full slot in [start, start+needed); restart
+    // just past the latest of them (classic earliest-gap scan).
+    const SlotIndex stop = start + slots_needed;
     SlotIndex blocked = -1;
-    for (const LinkId link : links) {
-      const DataRate cap = link_capacity(link);
-      const auto it = committed_.find(link);
-      if (it == committed_.end()) continue;
-      for (auto s = it->second.lower_bound(start);
-           s != it->second.end() && s->first < start + slots_needed; ++s) {
-        if (s->second + rate > cap) {
-          blocked = std::max(blocked, s->first);
+    for (Cursor& c : cursors) {
+      while (c.it != c.end && c.it->first < stop) {
+        if (c.it->first >= start && c.it->second + rate > c.cap) {
+          blocked = std::max(blocked, c.it->first);
           break;
         }
+        ++c.it;
       }
     }
     if (blocked < 0) {
@@ -105,7 +123,9 @@ Result<Window> ReservationCalendar::earliest_feasible(
     start = blocked + 1;
   }
   return Error{ErrorCode::kResourceExhausted,
-               "calendar: no feasible window inside the search horizon"};
+               start < limit
+                   ? "calendar: no feasible window ends before the bound"
+                   : "calendar: no feasible window inside the search horizon"};
 }
 
 Result<ReservationId> ReservationCalendar::reserve(CustomerId customer,
@@ -175,12 +195,6 @@ DataRate ReservationCalendar::committed(LinkId link, SimTime at) const {
   if (it == committed_.end()) return DataRate{};
   const auto s = it->second.find(slot_of(at));
   return s == it->second.end() ? DataRate{} : s->second;
-}
-
-void ReservationCalendar::purge_before(SimTime before) {
-  const SlotIndex cutoff = slot_of(before);
-  for (auto& [link, slots] : committed_)
-    slots.erase(slots.begin(), slots.lower_bound(cutoff));
 }
 
 std::string ReservationCalendar::render(const std::vector<LinkId>& links,

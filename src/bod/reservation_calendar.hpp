@@ -87,18 +87,15 @@ class ReservationCalendar {
 
   /// Earliest window of `duration` starting at or after `not_before` with
   /// `rate` headroom on every link; kResourceExhausted when nothing fits
-  /// inside the search horizon.
+  /// inside the search horizon. Only windows ending strictly before
+  /// `end_before` are considered, so a caller comparing candidates stops
+  /// searching once a window could no longer beat its current best.
   [[nodiscard]] Result<Window> earliest_feasible(
       const std::vector<LinkId>& links, DataRate rate, SimTime duration,
-      SimTime not_before) const;
+      SimTime not_before, SimTime end_before = SimTime::max()) const;
 
   /// Capacity already committed on `link` at instant `at`.
   [[nodiscard]] DataRate committed(LinkId link, SimTime at) const;
-
-  /// Drop per-slot bookkeeping for slots that ended before `before` (the
-  /// reservations themselves stay until released). Keeps week-long
-  /// simulations from accreting dead slots.
-  void purge_before(SimTime before);
 
   /// ASCII occupancy chart of [from, until) for the given links, one row
   /// per link, one column per slot (0-9 = tenths of capacity committed).

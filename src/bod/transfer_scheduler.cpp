@@ -68,7 +68,8 @@ LinkId TransferScheduler::access_link(MuxponderId nte) {
   // reserved in the calendar; subtract them from the port count or they
   // would be charged twice.
   DataRate scheduler_owned{};
-  for (const auto& [id, t] : transfers_) {
+  for (const TransferId id : live_) {
+    const Transfer& t = transfers_.at(id);
     if (t.src_site != nte && t.dst_site != nte) continue;
     for (const Piece& p : t.pieces)
       if (p.active && !p.done) scheduler_owned += p.rate;
@@ -94,25 +95,25 @@ Result<TransferScheduler::PiecePlan> TransferScheduler::plan_piece(
   // Search routes x the rate ladder for the earliest *completion*. A higher
   // rate needs a shorter window but more headroom; on a contended calendar
   // the winner is often a mid-ladder rate squeezed into a near gap rather
-  // than the top rate waiting for a wide one.
-  const PiecePlan* best = nullptr;
-  PiecePlan candidate, chosen;
+  // than the top rate waiting for a wide one. Only a window ending strictly
+  // before the current best can replace it, so each search is bounded by
+  // the best end found so far.
+  bool found = false;
+  PiecePlan chosen;
   for (const auto& route : routes) {
     std::vector<LinkId> links = route.links;
     links.insert(links.end(), access_links.begin(), access_links.end());
     for (const DataRate rate : params_.rate_ladder) {
       const SimTime duration = params_.setup_pad + transfer_time(bytes, rate);
-      auto window =
-          calendar_->earliest_feasible(links, rate, duration, not_before);
+      auto window = calendar_->earliest_feasible(
+          links, rate, duration, not_before,
+          found ? chosen.window.end : SimTime::max());
       if (!window.ok()) continue;
-      candidate = PiecePlan{links, rate, window.value()};
-      if (best == nullptr || candidate.window.end < chosen.window.end) {
-        chosen = candidate;
-        best = &chosen;
-      }
+      chosen = PiecePlan{links, rate, window.value()};
+      found = true;
     }
   }
-  if (best == nullptr)
+  if (!found)
     return Error{ErrorCode::kResourceExhausted,
                  "scheduler: no calendar window fits this transfer on any "
                  "route within the horizon"};
@@ -261,6 +262,7 @@ Result<TransferId> TransferScheduler::submit(const TransferRequest& request) {
           "Transfers that needed more than one calendar window", t.customer);
   }
   transfers_[id] = std::move(t);
+  live_.insert(id);
   for (std::size_t i = 0; i < transfers_[id].pieces.size(); ++i)
     schedule_setup(id, i);
 
@@ -409,6 +411,7 @@ void TransferScheduler::finish_piece(TransferId id, std::size_t piece_index) {
                    [](const Piece& q) { return q.done; }))
     return;
   t.state = TransferState::kCompleted;
+  live_.erase(id);
   t.completed_at = engine_->now();
   ++stats_.completed;
   count("griphon_bod_transfers_completed_total",
@@ -494,6 +497,7 @@ void TransferScheduler::release_piece_resources(Transfer& t, Piece& p) {
 void TransferScheduler::fail_transfer(Transfer& t, const std::string& why) {
   for (Piece& p : t.pieces) release_piece_resources(t, p);
   t.state = TransferState::kFailed;
+  live_.erase(t.id);
   ++stats_.failed;
   count("griphon_bod_transfers_failed_total",
         "Bulk transfers abandoned before completion", t.customer);
@@ -509,10 +513,8 @@ void TransferScheduler::on_topology_change(const std::vector<LinkId>& links,
   // lost a link: its window is a promise the network can no longer keep.
   // Live pieces stay put — the controller's restoration path moves them.
   std::vector<std::pair<TransferId, std::size_t>> hit;
-  for (auto& [id, t] : transfers_) {
-    if (t.state != TransferState::kScheduled &&
-        t.state != TransferState::kActive)
-      continue;
+  for (const TransferId id : live_) {
+    const Transfer& t = transfers_.at(id);
     for (std::size_t i = 0; i < t.pieces.size(); ++i) {
       const Piece& p = t.pieces[i];
       if (p.done || p.active) continue;
@@ -527,10 +529,7 @@ void TransferScheduler::on_topology_change(const std::vector<LinkId>& links,
   }
   for (const auto& [id, index] : hit) {
     // A prior reschedule may have failed the whole transfer meanwhile.
-    const auto it = transfers_.find(id);
-    if (it == transfers_.end()) continue;
-    if (it->second.state == TransferState::kFailed) continue;
-    reschedule_piece(id, index);
+    if (live_.contains(id)) reschedule_piece(id, index);
   }
 }
 
@@ -550,6 +549,8 @@ Result<TransferScheduler::TransferStatus> TransferScheduler::inspect(
   s.deadline = t.deadline;
   s.pieces = static_cast<int>(t.pieces.size());
   s.reschedules = t.reschedules;
+  for (const Piece& p : t.pieces)
+    if (p.active && !p.done) s.live_bundles.push_back(p.bundle);
   if (t.state == TransferState::kCompleted) {
     s.expected_completion = t.completed_at;
   } else {
@@ -575,6 +576,7 @@ Status TransferScheduler::cancel(CustomerId caller, TransferId id) {
                   "scheduler: transfer already finished"};
   for (Piece& p : t.pieces) release_piece_resources(t, p);
   t.state = TransferState::kCancelled;
+  live_.erase(id);
   return Status::success();
 }
 
@@ -592,11 +594,11 @@ std::size_t TransferScheduler::preempt_for_restoration(
 
   std::size_t preempted = 0;
   DataRate freed{};
-  for (auto& [id, t] : transfers_) {
-    if (freed >= rate) break;
-    if (t.state != TransferState::kScheduled &&
-        t.state != TransferState::kActive)
-      continue;
+  // reschedule_piece may fail the transfer and drop it from live_, so step
+  // the iterator before the body runs.
+  for (auto next = live_.begin(); next != live_.end() && freed < rate;) {
+    const TransferId id = *next++;
+    Transfer& t = transfers_.at(id);
     if (t.priority != Priority::kBestEffortBulk) continue;
     core::CustomerPortal* portal = portal_of(t.customer);
     if (portal == nullptr) continue;
@@ -647,7 +649,7 @@ std::size_t TransferScheduler::preempt_for_restoration(
         if (!any_active) t.state = TransferState::kScheduled;
       }
       reschedule_piece(id, i);
-      if (transfers_.at(id).state == TransferState::kFailed) break;
+      if (t.state == TransferState::kFailed) break;
     }
   }
   return preempted;
@@ -656,10 +658,8 @@ std::size_t TransferScheduler::preempt_for_restoration(
 std::set<ConnectionId> TransferScheduler::migration_exempt_connections()
     const {
   std::set<ConnectionId> exempt;
-  for (const auto& [id, t] : transfers_) {
-    if (t.state != TransferState::kScheduled &&
-        t.state != TransferState::kActive)
-      continue;
+  for (const TransferId id : live_) {
+    const Transfer& t = transfers_.at(id);
     const core::CustomerPortal* portal = portal_of(t.customer);
     if (portal == nullptr) continue;
     for (const Piece& p : t.pieces) {

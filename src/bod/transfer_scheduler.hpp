@@ -107,6 +107,8 @@ class TransferScheduler {
     SimTime expected_completion{};
     int pieces = 0;
     int reschedules = 0;
+    /// Bundles of the pieces carrying data right now (see the portal).
+    std::vector<core::BundleId> live_bundles;
     std::string detail;
   };
   [[nodiscard]] Result<TransferStatus> inspect(CustomerId caller,
@@ -238,6 +240,9 @@ class TransferScheduler {
   Params params_;
   std::unordered_map<CustomerId, core::CustomerPortal*> portals_;
   std::map<TransferId, Transfer> transfers_;
+  /// Transfers in kScheduled or kActive: every walk that only concerns
+  /// live transfers iterates this, in id order, instead of the history.
+  std::set<TransferId> live_;
   IdAllocator<TransferId> ids_;
   Stats stats_;
 };

@@ -7,37 +7,38 @@
 
 namespace griphon::telemetry {
 
+SpanId SpanTracer::append(Span s) {
+  if (s.tag == 0 && s.parent != 0) {
+    if (const Span* p = find_locked(s.parent)) s.tag = p->tag;
+  }
+  s.id = next_++;
+  spans_.push_back(std::move(s));
+  return spans_.back().id;
+}
+
 SpanId SpanTracer::start(std::string name, std::string actor,
                          CorrelationTag tag, SpanId parent, SimTime now) {
   MutexLock lock(&mu_);
   Span s;
-  s.id = next_++;
   s.parent = parent;
   s.tag = tag;
-  if (s.tag == 0 && parent != 0) {
-    if (const Span* p = find_locked(parent)) s.tag = p->tag;
-  }
   s.name = std::move(name);
   s.actor = std::move(actor);
   s.start = now;
   s.end = now;
-  index_[s.id] = spans_.size();
-  spans_.push_back(std::move(s));
   ++open_;
-  return spans_.back().id;
+  return append(std::move(s));
 }
 
 void SpanTracer::end(SpanId id, SimTime now, bool ok, std::string detail) {
   if (id == 0) return;
   MutexLock lock(&mu_);
-  const auto it = index_.find(id);
-  if (it == index_.end()) return;
-  Span& s = spans_[it->second];
-  if (s.done) return;
-  s.end = now;
-  s.done = true;
-  s.ok = ok;
-  if (!detail.empty()) s.detail = std::move(detail);
+  Span* s = find_locked(id);
+  if (s == nullptr || s->done) return;
+  s->end = now;
+  s->done = true;
+  s->ok = ok;
+  if (!detail.empty()) s->detail = std::move(detail);
   --open_;
 }
 
@@ -46,12 +47,8 @@ SpanId SpanTracer::record(std::string name, std::string actor,
                           SimTime end, bool ok, std::string detail) {
   MutexLock lock(&mu_);
   Span s;
-  s.id = next_++;
   s.parent = parent;
   s.tag = tag;
-  if (s.tag == 0 && parent != 0) {
-    if (const Span* p = find_locked(parent)) s.tag = p->tag;
-  }
   s.name = std::move(name);
   s.actor = std::move(actor);
   s.detail = std::move(detail);
@@ -59,14 +56,15 @@ SpanId SpanTracer::record(std::string name, std::string actor,
   s.end = end;
   s.done = true;
   s.ok = ok;
-  index_[s.id] = spans_.size();
-  spans_.push_back(std::move(s));
-  return spans_.back().id;
+  return append(std::move(s));
+}
+
+Span* SpanTracer::find_locked(SpanId id) {
+  return id >= first_ && id < next_ ? &spans_[id - first_] : nullptr;
 }
 
 const Span* SpanTracer::find_locked(SpanId id) const {
-  const auto it = index_.find(id);
-  return it == index_.end() ? nullptr : &spans_[it->second];
+  return id >= first_ && id < next_ ? &spans_[id - first_] : nullptr;
 }
 
 const Span* SpanTracer::find(SpanId id) const {
@@ -93,7 +91,7 @@ std::vector<const Span*> SpanTracer::children_of(SpanId id) const {
 void SpanTracer::clear() {
   MutexLock lock(&mu_);
   spans_.clear();
-  index_.clear();
+  first_ = next_;
   open_ = 0;
 }
 

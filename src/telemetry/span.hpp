@@ -16,8 +16,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/sync.hpp"
@@ -50,12 +50,17 @@ struct Span {
   [[nodiscard]] SimTime duration() const noexcept { return end - start; }
 };
 
+/// Span ids are dense (each start()/record() takes the next one), so the
+/// store needs no index: id `first_ + i` is spans_[i], and clear() moves
+/// first_ past every id handed out so far.
+///
 /// Concurrency (DESIGN.md §15): the span store is guarded by one mutex.
 /// Accessors returning references/pointers into the store (spans(),
 /// find(), for_tag(), children_of()) are for the owner thread's export
-/// path: the returned views stay valid only while no other thread keeps
-/// appending (spans_ may reallocate). Cross-thread consumers go through
-/// the value-returning to_json().
+/// path. The store is a deque, so appends never move a stored span: a
+/// pointer or reference stays valid until clear(). Iterating spans()
+/// while another thread appends is still a race; cross-thread consumers
+/// go through the value-returning to_json().
 class SpanTracer {
  public:
   /// Open a span at `now`. A zero tag inherits the parent's tag, so only
@@ -74,7 +79,7 @@ class SpanTracer {
                 SpanId parent, SimTime start, SimTime end, bool ok = true,
                 std::string detail = {}) EXCLUDES(mu_);
 
-  [[nodiscard]] const std::vector<Span>& spans() const EXCLUDES(mu_) {
+  [[nodiscard]] const std::deque<Span>& spans() const EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return spans_;
   }
@@ -95,11 +100,13 @@ class SpanTracer {
       EXCLUDES(mu_);
 
  private:
+  [[nodiscard]] Span* find_locked(SpanId id) REQUIRES(mu_);
   [[nodiscard]] const Span* find_locked(SpanId id) const REQUIRES(mu_);
+  SpanId append(Span s) REQUIRES(mu_);
 
   mutable Mutex mu_;
-  std::vector<Span> spans_ GUARDED_BY(mu_);
-  std::unordered_map<SpanId, std::size_t> index_ GUARDED_BY(mu_);
+  std::deque<Span> spans_ GUARDED_BY(mu_);
+  SpanId first_ GUARDED_BY(mu_) = 1;  ///< id of spans_.front()
   SpanId next_ GUARDED_BY(mu_) = 1;
   std::size_t open_ GUARDED_BY(mu_) = 0;
 };

@@ -3,10 +3,16 @@
 // error paths the carrier's multi-tenant story depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include "bod/admission.hpp"
 #include "bod/reservation_calendar.hpp"
 #include "bod/transfer_scheduler.hpp"
+#include "common/rng.hpp"
 #include "core/scenario.hpp"
+#include "dwdm/muxponder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workload/bod_demand.hpp"
 
@@ -110,6 +116,146 @@ TEST(Calendar, RenderShowsOccupancy) {
           .ok());
   const std::string chart = cal.render(route, SimTime{}, minutes(6));
   EXPECT_NE(chart.find("555..."), std::string::npos);
+}
+
+// Dense reference for earliest_feasible(): a table of committed rate per
+// (link, slot), read back through committed(), and a search that tries
+// every candidate start slot in turn and checks every slot of its window.
+struct DenseCalendar {
+  SimTime slot;
+  SimTime horizon;
+  std::map<LinkId, DataRate> capacity;
+  std::map<LinkId, std::vector<DataRate>> used;
+
+  DenseCalendar(const ReservationCalendar& cal,
+                const ReservationCalendar::Params& p,
+                const std::vector<LinkId>& links, std::int64_t slots)
+      : slot(p.slot), horizon(p.horizon) {
+    for (const LinkId l : links) {
+      capacity[l] = cal.link_capacity(l);
+      auto& row = used[l];
+      for (std::int64_t s = 0; s < slots; ++s)
+        row.push_back(cal.committed(l, slot * s));
+    }
+  }
+
+  [[nodiscard]] Result<Window> earliest_feasible(
+      const std::vector<LinkId>& links, DataRate rate, SimTime duration,
+      SimTime not_before, SimTime end_before) const {
+    for (const LinkId l : links)
+      if (rate > capacity.at(l))
+        return Error{ErrorCode::kResourceExhausted, "rate over budget"};
+    const std::int64_t needed =
+        std::max<std::int64_t>(1, (duration + slot - microseconds(1)) / slot);
+    const std::int64_t first = (not_before + slot - microseconds(1)) / slot;
+    for (std::int64_t s = first; s < first + horizon / slot; ++s) {
+      const Window w{slot * s, slot * s + duration};
+      if (w.end >= end_before) break;
+      bool fits = true;
+      for (const LinkId l : links)
+        for (std::int64_t k = s; k < s + needed && fits; ++k)
+          fits = used.at(l).at(static_cast<std::size_t>(k)) + rate <=
+                 capacity.at(l);
+      if (fits) return w;
+    }
+    return Error{ErrorCode::kResourceExhausted, "no window"};
+  }
+};
+
+TEST(Calendar, EarliestFeasibleMatchesDenseReferenceUnderRandomOps) {
+  ReservationCalendar::Params params = cal_params(rates::k40G);
+  params.horizon = minutes(120);
+  // Reservations and query starts stay below 200 min; the longest window
+  // is 40 min, so 400 one-minute slots cover every slot a search reads.
+  constexpr std::int64_t kSlots = 400;
+  std::vector<LinkId> all;
+  for (std::uint64_t i = 0; i < 8; ++i) all.push_back(LinkId{i});
+  const std::vector<DataRate> rate_choices{
+      rates::k1G, DataRate::gbps(5), rates::k10G, DataRate::gbps(20),
+      rates::k40G};
+
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ReservationCalendar cal(params);
+    std::vector<ReservationId> held;
+    const auto pick_links = [&](int most) {
+      std::vector<LinkId> links = all;
+      std::shuffle(links.begin(), links.end(), rng.engine());
+      links.resize(static_cast<std::size_t>(rng.uniform_int(1, most)));
+      return links;
+    };
+    const auto pick_rate = [&] {
+      return rate_choices[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(rate_choices.size()) -
+                                 1))];
+    };
+    for (int op = 0; op < 250; ++op) {
+      const std::int64_t kind = rng.uniform_int(0, 9);
+      if (kind <= 4) {
+        const SimTime start = seconds(rng.uniform_int(0, 190 * 60));
+        const SimTime len = seconds(rng.uniform_int(20, 40 * 60));
+        if (auto id = cal.reserve(kCspA, pick_links(4), pick_rate(),
+                                  {start, start + len});
+            id.ok())
+          held.push_back(id.value());
+      } else if (kind <= 6 && !held.empty()) {
+        const auto i = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(held.size()) - 1));
+        if (kind == 5) {
+          ASSERT_TRUE(cal.release(held[i]).ok());
+        } else {
+          // Truncating to the window start drops the reservation.
+          const Window w = cal.find(held[i])->window;
+          const SimTime cut =
+              seconds(rng.uniform_int(0, w.duration() / seconds(1)));
+          ASSERT_TRUE(cal.truncate(held[i], w.start + cut).ok());
+        }
+        if (cal.find(held[i]) == nullptr)
+          held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        // Budgets move both ways, including below what is committed (as
+        // an access pipe does when a direct connection lights a port).
+        const LinkId l = all[static_cast<std::size_t>(rng.uniform_int(0, 7))];
+        cal.set_link_capacity(l, kind == 9 ? rates::k40G : pick_rate());
+      }
+
+      const DenseCalendar dense(cal, params, all, kSlots);
+      for (int q = 0; q < 6; ++q) {
+        const std::vector<LinkId> links = pick_links(5);
+        const DataRate rate = pick_rate();
+        const SimTime duration = seconds(rng.uniform_int(1, 40 * 60));
+        // Mid-slot not_before; late ones push windows past the horizon.
+        const SimTime not_before = seconds(rng.uniform_int(0, 200 * 60));
+        const auto unbounded = cal.earliest_feasible(links, rate, duration,
+                                                     not_before);
+        const auto expect = dense.earliest_feasible(links, rate, duration,
+                                                    not_before, SimTime::max());
+        ASSERT_EQ(unbounded.ok(), expect.ok()) << "op " << op << " q " << q;
+        if (expect.ok()) {
+          ASSERT_EQ(unbounded.value(), expect.value()) << "op " << op;
+        }
+        // Bounds at, just past and at a random distance from the answer.
+        std::vector<SimTime> bounds{not_before + minutes(rng.uniform_int(
+                                                     1, 200))};
+        if (expect.ok()) {
+          bounds.push_back(expect.value().end);
+          bounds.push_back(expect.value().end + microseconds(1));
+        }
+        for (const SimTime end_before : bounds) {
+          const auto got = cal.earliest_feasible(links, rate, duration,
+                                                 not_before, end_before);
+          const auto want = dense.earliest_feasible(links, rate, duration,
+                                                    not_before, end_before);
+          ASSERT_EQ(got.ok(), want.ok())
+              << "op " << op << " end_before " << end_before.count();
+          if (want.ok()) {
+            ASSERT_EQ(got.value(), want.value()) << "op " << op;
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- AdmissionController ----------------------------------------------------
@@ -488,6 +634,115 @@ TEST(Scheduler, SetupRacingAFiberCutDoesNotBindAStaleRoute) {
   EXPECT_EQ(s.portal->provisioned(), DataRate{});
   EXPECT_EQ(cal.active_reservations(), 0u);
   EXPECT_EQ(adm.committed(s.csp), DataRate{});
+}
+
+// The scheduler answers access_link() and migration_exempt_connections()
+// from an index of live transfers. The oracle ignores it: it walks every
+// transfer id through inspect() and recomputes both answers from the
+// live transfers' carrying bundles.
+void expect_live_transfers_consistent(
+    TransferScheduler& sched, const ReservationCalendar& cal,
+    const core::TestbedScenario& s,
+    const std::map<TransferId, std::pair<MuxponderId, MuxponderId>>& sites) {
+  std::map<MuxponderId, DataRate> owned;
+  std::set<ConnectionId> exempt;
+  for (std::uint64_t i = 0; i <= sched.stats().submitted + 1; ++i) {
+    const auto st = sched.inspect(s.csp, TransferId{i});
+    if (!st.ok()) continue;
+    const auto state = st.value().state;
+    if (state != TransferScheduler::TransferState::kScheduled &&
+        state != TransferScheduler::TransferState::kActive)
+      continue;
+    const auto [src, dst] = sites.at(TransferId{i});
+    for (const core::BundleId b : st.value().live_bundles) {
+      const auto& bundle = s.portal->bundle(b);
+      owned[src] += bundle.requested;
+      if (dst != src) owned[dst] += bundle.requested;
+      exempt.insert(bundle.parts.begin(), bundle.parts.end());
+    }
+  }
+  EXPECT_EQ(sched.migration_exempt_connections(), exempt);
+  for (const MuxponderId nte : {s.site_i, s.site_iii, s.site_iv}) {
+    const dwdm::Muxponder& device = s.model->nte(nte);
+    const DataRate hardware =
+        device.client_rate() *
+        static_cast<std::int64_t>(dwdm::Muxponder::kClientPorts);
+    const DataRate lit =
+        device.client_rate() * static_cast<std::int64_t>(device.ports_in_use());
+    const DataRate foreign =
+        lit > owned[nte] ? lit - owned[nte] : DataRate{};
+    const DataRate budget =
+        hardware > foreign ? hardware - foreign : DataRate{};
+    EXPECT_EQ(cal.link_capacity(sched.access_link(nte)), budget)
+        << "access pipe of NTE " << nte.value();
+  }
+}
+
+TEST(Scheduler, LiveTransferIndexMatchesBruteForceWalk) {
+  for (const std::uint64_t seed : {91u, 92u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    core::TestbedScenario s(seed);
+    // Half a pipe per fiber: transfers queue for windows, so scheduled
+    // (not yet live) pieces are around when a fiber is cut.
+    ReservationCalendar cal(cal_params(DataRate::gbps(20)));
+    AdmissionController adm(&s.engine);
+    adm.set_policy(s.csp, open_policy(DataRate::gbps(400)));
+    TransferScheduler sched(s.controller.get(), &cal, &adm, sched_params());
+    sched.register_portal(s.portal.get());
+
+    const std::vector<MuxponderId> nte{s.site_i, s.site_iii, s.site_iv};
+    const std::vector<LinkId> fibers{s.topo.i_iv, s.topo.i_iii,
+                                     s.topo.iii_iv, s.topo.i_ii,
+                                     s.topo.ii_iii};
+    std::map<TransferId, std::pair<MuxponderId, MuxponderId>> sites;
+    std::vector<TransferId> ids;
+    std::set<LinkId> cut;
+    Rng rng(seed);
+    for (int step = 0; step < 80; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const std::int64_t dice = rng.uniform_int(0, 9);
+      if (dice <= 3) {
+        const auto a = static_cast<std::size_t>(rng.uniform_int(0, 2));
+        const auto b = (a + static_cast<std::size_t>(rng.uniform_int(1, 2))) % 3;
+        TransferScheduler::TransferRequest req;
+        req.customer = s.csp;
+        req.src_site = nte[a];
+        req.dst_site = nte[b];
+        req.bytes = rng.uniform_int(200, 2000) * 1'000'000'000;
+        req.deadline = s.engine.now() + minutes(rng.uniform_int(60, 360));
+        if (const auto id = sched.submit(req); id.ok()) {
+          sites[id.value()] = {req.src_site, req.dst_site};
+          ids.push_back(id.value());
+        }
+      } else if (dice == 4 && !ids.empty()) {
+        // Finished transfers refuse the cancel; that is part of the mix.
+        (void)sched.cancel(
+            s.csp, ids[static_cast<std::size_t>(rng.uniform_int(
+                       0, static_cast<std::int64_t>(ids.size()) - 1))]);
+      } else if (dice == 5) {
+        // A direct portal connection lights an NTE port the calendar
+        // never saw.
+        const auto a = static_cast<std::size_t>(rng.uniform_int(0, 2));
+        s.portal->connect(nte[a], nte[(a + 1) % 3], rates::k10G,
+                          core::ProtectionMode::kUnprotected,
+                          [](Result<ConnectionId>) {});
+      } else if (dice == 6) {
+        const LinkId l = fibers[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(fibers.size()) - 1))];
+        if (cut.insert(l).second) {
+          s.model->fail_link(l);
+        } else {
+          s.model->repair_link(l);
+          cut.erase(l);
+        }
+      } else if (dice == 7) {
+        s.engine.run();  // every transfer in flight runs to completion
+      }
+      s.engine.run_until(s.engine.now() + seconds(rng.uniform_int(10, 300)));
+      expect_live_transfers_consistent(sched, cal, s, sites);
+    }
+    EXPECT_GT(sched.stats().completed, 0u);
+  }
 }
 
 // --- customer isolation error paths ----------------------------------------

@@ -257,6 +257,58 @@ TEST(SpanTracer, JsonFiltersByTag) {
   EXPECT_NE(all.find("\"name\":\"b\""), npos);
 }
 
+TEST(SpanTracer, ClearRetiresOldIdsAndNewOnesResolve) {
+  SpanTracer t;
+  const SpanId old_open = t.start("a", "x", 1, 0, seconds(0));
+  const SpanId old_closed = t.record("b", "x", 1, 0, seconds(0), seconds(1));
+  t.clear();
+  EXPECT_EQ(t.find(old_open), nullptr);
+  EXPECT_EQ(t.find(old_closed), nullptr);
+  t.end(old_open, seconds(2));  // retired id: no-op
+  EXPECT_EQ(t.open_count(), 0u);
+  EXPECT_TRUE(t.spans().empty());
+
+  const SpanId fresh = t.start("c", "y", 2, 0, seconds(3));
+  EXPECT_GT(fresh, old_closed);  // ids are never reused
+  ASSERT_NE(t.find(fresh), nullptr);
+  EXPECT_EQ(t.find(fresh)->name, "c");
+  EXPECT_EQ(t.find(fresh + 1), nullptr);  // not handed out yet
+  t.end(fresh, seconds(4));
+  EXPECT_TRUE(t.find(fresh)->done);
+  EXPECT_EQ(t.open_count(), 0u);
+}
+
+TEST(SpanTracer, TagInheritanceSurvivesClear) {
+  SpanTracer t;
+  const SpanId old_root = t.start("old", "x", 5, 0, seconds(0));
+  t.clear();
+  const SpanId root = t.start("setup", "controller", 77, 0, seconds(1));
+  const SpanId child = t.start("ot.tune", "controller", 0, root, seconds(2));
+  const SpanId late =
+      t.record("detect", "fm", 0, child, seconds(0), seconds(1));
+  EXPECT_EQ(t.find(child)->tag, 77u);
+  EXPECT_EQ(t.find(late)->tag, 77u);
+  // A parent retired by clear() has no tag to pass on.
+  const SpanId orphan = t.start("orphan", "x", 0, old_root, seconds(3));
+  EXPECT_EQ(t.find(orphan)->tag, 0u);
+  EXPECT_EQ(t.children_of(root).size(), 1u);
+}
+
+TEST(SpanTracer, FoundSpanStaysPutAcrossAppends) {
+  SpanTracer t;
+  const SpanId first = t.start("first", "x", 3, 0, seconds(0));
+  const Span* held = t.find(first);
+  ASSERT_NE(held, nullptr);
+  for (int i = 0; i < 10'000; ++i)
+    t.record("filler", "x", 0, first, seconds(i), seconds(i + 1));
+  EXPECT_EQ(t.find(first), held);
+  EXPECT_EQ(held->name, "first");
+  t.end(first, seconds(10'001));
+  EXPECT_TRUE(held->done);
+  EXPECT_EQ(t.spans().size(), 10'001u);
+  EXPECT_EQ(t.find(first + 10'000)->tag, 3u);
+}
+
 // --- TimelineReport --------------------------------------------------------
 
 TEST(TimelineReport, RendersIndentedWaterfall) {
