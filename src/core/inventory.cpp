@@ -18,12 +18,9 @@ Inventory::~Inventory() {
 }
 
 void Inventory::attach_device_listeners(NetworkModel* model) {
-  {
-    // Changes made before the attach went unobserved: the next snapshot()
-    // rebuilds, and from then on every change reaches an observer.
-    MutexLock lock(&mu_);
-    built_ = false;
-  }
+  // Changes made before the attach went unobserved: the next snapshot()
+  // rebuilds, and from then on every change reaches an observer.
+  built_ = false;
   listening_ = model;
   model->set_device_observers(
       [this](const dwdm::Transponder& ot) { on_ot_changed(ot); },
@@ -32,7 +29,6 @@ void Inventory::attach_device_listeners(NetworkModel* model) {
 }
 
 void Inventory::on_ot_changed(const dwdm::Transponder& ot) {
-  MutexLock lock(&mu_);
   if (!built_) return;  // the next snapshot() scans from scratch anyway
   if (ot_is_free(ot))
     detail::bit_set(ot_device_free_bits_, ot.id().value());
@@ -46,7 +42,6 @@ void Inventory::on_ot_changed(const dwdm::Transponder& ot) {
 }
 
 void Inventory::on_regen_changed(const dwdm::Regenerator& regen) {
-  MutexLock lock(&mu_);
   if (!built_) return;
   if (!regen.in_use())
     detail::bit_set(regen_device_free_bits_, regen.id().value());
@@ -57,9 +52,8 @@ void Inventory::on_regen_changed(const dwdm::Regenerator& regen) {
 }
 
 void Inventory::on_link_changed(LinkId link) {
-  MutexLock lock(&mu_);
   if (!built_ || link.value() >= device_avail_.size()) return;
-  refresh_link_locked(link);
+  refresh_link(link);
   // The observer fires after the model bumped plant_version() or
   // topology_version(), and every change since the attach reaches an
   // observer, so the built state is exactly the state at these versions
@@ -119,15 +113,14 @@ std::size_t Inventory::Snapshot::free_regen_count(NodeId node,
 
 // --- reservation overlay ----------------------------------------------------
 
-dwdm::ChannelSet& Inventory::reserved_on_locked(LinkId link) {
+dwdm::ChannelSet& Inventory::reserved_on(LinkId link) {
   if (link.value() >= reserved_by_link_.size())
     reserved_by_link_.resize(link.value() + 1);
   return reserved_by_link_[link.value()];
 }
 
 void Inventory::reserve_channel(LinkId link, dwdm::ChannelIndex ch) {
-  MutexLock lock(&mu_);
-  dwdm::ChannelSet& set = reserved_on_locked(link);
+  dwdm::ChannelSet& set = reserved_on(link);
   if (!set.contains(ch)) {
     set.add(ch);
     ++channel_reservation_count_;
@@ -138,7 +131,6 @@ void Inventory::reserve_channel(LinkId link, dwdm::ChannelIndex ch) {
 }
 
 void Inventory::release_channel(LinkId link, dwdm::ChannelIndex ch) {
-  MutexLock lock(&mu_);
   if (link.value() >= reserved_by_link_.size()) return;
   dwdm::ChannelSet& set = reserved_by_link_[link.value()];
   if (set.contains(ch)) {
@@ -153,13 +145,11 @@ void Inventory::release_channel(LinkId link, dwdm::ChannelIndex ch) {
 }
 
 bool Inventory::channel_reserved(LinkId link, dwdm::ChannelIndex ch) const {
-  MutexLock lock(&mu_);
   return link.value() < reserved_by_link_.size() &&
          reserved_by_link_[link.value()].contains(ch);
 }
 
 void Inventory::reserve_ot(TransponderId id) {
-  MutexLock lock(&mu_);
   if (!detail::bit_test(reserved_ot_bits_, id.value())) {
     detail::bit_set(reserved_ot_bits_, id.value());
     ++reserved_ot_count_;
@@ -168,7 +158,6 @@ void Inventory::reserve_ot(TransponderId id) {
 }
 
 void Inventory::release_ot(TransponderId id) {
-  MutexLock lock(&mu_);
   if (detail::bit_test(reserved_ot_bits_, id.value())) {
     detail::bit_clear(reserved_ot_bits_, id.value());
     --reserved_ot_count_;
@@ -177,7 +166,6 @@ void Inventory::release_ot(TransponderId id) {
 }
 
 void Inventory::reserve_regen(RegenId id) {
-  MutexLock lock(&mu_);
   if (!detail::bit_test(reserved_regen_bits_, id.value())) {
     detail::bit_set(reserved_regen_bits_, id.value());
     ++reserved_regen_count_;
@@ -186,7 +174,6 @@ void Inventory::reserve_regen(RegenId id) {
 }
 
 void Inventory::release_regen(RegenId id) {
-  MutexLock lock(&mu_);
   if (detail::bit_test(reserved_regen_bits_, id.value())) {
     detail::bit_clear(reserved_regen_bits_, id.value());
     --reserved_regen_count_;
@@ -195,7 +182,6 @@ void Inventory::release_regen(RegenId id) {
 }
 
 std::size_t Inventory::reservations() const {
-  MutexLock lock(&mu_);
   return channel_reservation_count_ + reserved_ot_count_ +
          reserved_regen_count_;
 }
@@ -215,7 +201,7 @@ dwdm::ChannelSet Inventory::device_availability(LinkId link) const {
   return set;
 }
 
-void Inventory::ensure_pools_locked() const {
+void Inventory::ensure_pools() const {
   const auto& ots = model_->ots();
   const auto& regens = model_->regens();
   const std::size_t sites = model_->graph().nodes().size();
@@ -253,7 +239,7 @@ dwdm::ChannelSet Inventory::a_end_used(LinkId link) const {
   return roadm.used_channels(*degree);
 }
 
-void Inventory::refresh_link_locked(LinkId link) const {
+void Inventory::refresh_link(LinkId link) const {
   const std::size_t i = link.value();
   device_avail_[i] = device_availability(link);
   net_avail_[i] = device_avail_[i];
@@ -279,8 +265,8 @@ void Inventory::refresh_link_locked(LinkId link) const {
   a_end_used_[i] = used;
 }
 
-void Inventory::rebuild_locked() const {
-  ensure_pools_locked();
+void Inventory::rebuild() const {
+  ensure_pools();
   const auto& links = model_->graph().links();
   device_avail_.assign(links.size(), {});
   net_avail_.assign(links.size(), {});
@@ -288,7 +274,7 @@ void Inventory::rebuild_locked() const {
   // A fresh table, never one a handed-out snapshot shares.
   usage_ = std::make_shared<std::vector<std::size_t>>(model_->grid().count(),
                                                       0);
-  for (const auto& link : links) refresh_link_locked(link.id);
+  for (const auto& link : links) refresh_link(link.id);
   ot_device_free_bits_.clear();
   for (const auto& ot : model_->ots())
     if (ot_is_free(*ot)) detail::bit_set(ot_device_free_bits_, ot->id().value());
@@ -302,7 +288,7 @@ void Inventory::rebuild_locked() const {
   built_ = true;
 }
 
-void Inventory::assemble_locked() const {
+void Inventory::assemble() const {
   auto snap = std::shared_ptr<Snapshot>(new Snapshot());
   snap->avail_ = net_avail_;
   snap->pools_ = pools_;
@@ -322,7 +308,6 @@ void Inventory::assemble_locked() const {
 }
 
 std::shared_ptr<const Inventory::Snapshot> Inventory::snapshot() const {
-  MutexLock lock(&mu_);
   const bool pools_current =
       pools_ && pools_->ot_count == model_->ots().size() &&
       pools_->regen_count == model_->regens().size() &&
@@ -331,8 +316,8 @@ std::shared_ptr<const Inventory::Snapshot> Inventory::snapshot() const {
                      built_plant_version_ != model_->plant_version() ||
                      built_topology_version_ != model_->topology_version() ||
                      built_device_version_ != model_->device_version();
-  if (stale) rebuild_locked();
-  if (stale || overlay_dirty_ || !current_) assemble_locked();
+  if (stale) rebuild();
+  if (stale || overlay_dirty_ || !current_) assemble();
   return current_;
 }
 

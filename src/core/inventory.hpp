@@ -10,7 +10,7 @@
 // reservations), free-OT/regen bitmaps over per-site pools, and the
 // per-channel usage table. `snapshot()` hands out the current view and
 // builds a new one only when something moved (see DESIGN.md "Inventory
-// indexing invariants" and §15):
+// indexing invariants"):
 //  * channel reservations live in a per-link ChannelSet and are applied
 //    to the incrementally-kept net availability in O(1) per change,
 //  * OT/regen lifecycle transitions reach the free bitmaps through the
@@ -20,8 +20,6 @@
 //    availability and usage contribution in O(channels/64),
 //  * the first snapshot, pool growth, or a model version change no
 //    observer reported force one full rebuild from the model.
-//
-// All members are guarded by `mu_` (DESIGN.md §15).
 #pragma once
 
 #include <bit>
@@ -31,7 +29,6 @@
 #include <set>
 #include <vector>
 
-#include "common/sync.hpp"
 #include "core/network_model.hpp"
 #include "dwdm/wavelength.hpp"
 
@@ -151,25 +148,24 @@ class Inventory {
   /// same deployment this inventory reads). From then on OT/regen
   /// lifecycle transitions update the snapshot free bitmaps in O(1), and
   /// each ROADM degree a cross-connect touches, or each cut or repaired
-  /// fiber, updates that one link's availability and usage contribution,
-  /// under the lock. Changes made before the attach went unobserved, so
-  /// the next snapshot() rebuilds once; no later change forces a full
-  /// rescan of the plant. The model has one slot per observer kind; the
-  /// controller's inventory claims them, and the destructor detaches.
-  void attach_device_listeners(NetworkModel* model) EXCLUDES(mu_);
+  /// fiber, updates that one link's availability and usage contribution.
+  /// Changes made before the attach went unobserved, so the next
+  /// snapshot() rebuilds once; no later change forces a full rescan of the
+  /// plant. The model has one slot per observer kind; the controller's
+  /// inventory claims them, and the destructor detaches.
+  void attach_device_listeners(NetworkModel* model);
 
   // --- reservation overlay ------------------------------------------------
-  void reserve_channel(LinkId link, dwdm::ChannelIndex ch) EXCLUDES(mu_);
-  void release_channel(LinkId link, dwdm::ChannelIndex ch) EXCLUDES(mu_);
+  void reserve_channel(LinkId link, dwdm::ChannelIndex ch);
+  void release_channel(LinkId link, dwdm::ChannelIndex ch);
   [[nodiscard]] bool channel_reserved(LinkId link,
-                                      dwdm::ChannelIndex ch) const
-      EXCLUDES(mu_);
-  void reserve_ot(TransponderId id) EXCLUDES(mu_);
-  void release_ot(TransponderId id) EXCLUDES(mu_);
-  void reserve_regen(RegenId id) EXCLUDES(mu_);
-  void release_regen(RegenId id) EXCLUDES(mu_);
+                                      dwdm::ChannelIndex ch) const;
+  void reserve_ot(TransponderId id);
+  void release_ot(TransponderId id);
+  void reserve_regen(RegenId id);
+  void release_regen(RegenId id);
 
-  [[nodiscard]] std::size_t reservations() const EXCLUDES(mu_);
+  [[nodiscard]] std::size_t reservations() const;
 
   // --- read snapshot ------------------------------------------------------
   /// Refresh-if-stale and return the current snapshot — the only read
@@ -177,14 +173,13 @@ class Inventory {
   /// model's version stamps moved; O(1) when nothing changed since the
   /// last call; overlay-only churn assembles a new view from the
   /// incrementally-maintained state without touching the model.
-  [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const
-      EXCLUDES(mu_);
+  [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const;
 
  private:
   using PoolIndex = Snapshot::PoolIndex;
 
   /// Grow-on-demand access to the per-link reservation set.
-  dwdm::ChannelSet& reserved_on_locked(LinkId link) REQUIRES(mu_);
+  dwdm::ChannelSet& reserved_on(LinkId link);
 
   /// Device-only availability on a link (no reservation overlay) — pure
   /// model read for the rebuild path.
@@ -193,43 +188,41 @@ class Inventory {
   /// O(1) device-free-bit maintenance off the model's change observers
   /// (attach_device_listeners). Fires after the model bumped
   /// device_version().
-  void on_ot_changed(const dwdm::Transponder& ot) EXCLUDES(mu_);
-  void on_regen_changed(const dwdm::Regenerator& regen) EXCLUDES(mu_);
+  void on_ot_changed(const dwdm::Transponder& ot);
+  void on_regen_changed(const dwdm::Regenerator& regen);
   /// Per-link delta off the model's link observer: fires after the model
   /// bumped plant_version() (a ROADM degree facing `link` changed) or
   /// topology_version() (`link` was cut or repaired).
-  void on_link_changed(LinkId link) EXCLUDES(mu_);
+  void on_link_changed(LinkId link);
 
   /// Channels in use on the degree facing `link` at its a-end ROADM — the
   /// link's contribution to the usage table.
   [[nodiscard]] dwdm::ChannelSet a_end_used(LinkId link) const;
   /// Recompute one link's device and net availability and move its usage
   /// contribution to the a-end ROADM's current used set.
-  void refresh_link_locked(LinkId link) const REQUIRES(mu_);
+  void refresh_link(LinkId link) const;
 
-  void ensure_pools_locked() const REQUIRES(mu_);
+  void ensure_pools() const;
   /// Full rebuild of the derived planning state from the model (link
   /// availability, device free bitmaps, pools, usage table).
-  void rebuild_locked() const REQUIRES(mu_);
+  void rebuild() const;
   /// Assemble a fresh immutable Snapshot from current state.
-  void assemble_locked() const REQUIRES(mu_);
+  void assemble() const;
 
   const NetworkModel* model_;
   /// Non-null while this inventory holds the model's device-observer
   /// slot (used to detach on destruction).
   NetworkModel* listening_ = nullptr;
 
-  mutable Mutex mu_;
-
   // Reservation overlay. `reserved_by_link_` is indexed by link id value;
   // `channel_reservation_count_` keeps reservations() O(1). OT/regen
   // reservations are bitmaps keyed by id value with explicit counts.
-  std::vector<dwdm::ChannelSet> reserved_by_link_ GUARDED_BY(mu_);
-  std::size_t channel_reservation_count_ GUARDED_BY(mu_) = 0;
-  std::vector<std::uint64_t> reserved_ot_bits_ GUARDED_BY(mu_);
-  std::size_t reserved_ot_count_ GUARDED_BY(mu_) = 0;
-  std::vector<std::uint64_t> reserved_regen_bits_ GUARDED_BY(mu_);
-  std::size_t reserved_regen_count_ GUARDED_BY(mu_) = 0;
+  std::vector<dwdm::ChannelSet> reserved_by_link_;
+  std::size_t channel_reservation_count_ = 0;
+  std::vector<std::uint64_t> reserved_ot_bits_;
+  std::size_t reserved_ot_count_ = 0;
+  std::vector<std::uint64_t> reserved_regen_bits_;
+  std::size_t reserved_regen_count_ = 0;
 
   // Per-site device pools, built lazily from the model (sites are fixed at
   // model construction; pools are rebuilt if devices were added since).
@@ -237,7 +230,7 @@ class Inventory {
   // the smallest adequate rate with the lowest id — the same pick the
   // old full scan made. Regens keep id order. Shared immutably with
   // handed-out snapshots.
-  mutable std::shared_ptr<const PoolIndex> pools_ GUARDED_BY(mu_);
+  mutable std::shared_ptr<const PoolIndex> pools_;
 
   // Per-channel usage table (device state only, reservations excluded):
   // the number of links whose a-end degree uses each channel.
@@ -245,26 +238,26 @@ class Inventory {
   // contributed, so a link delta edits only the channels that moved.
   // Copy-on-write: handed-out snapshots share the table immutably, so a
   // delta copies it first whenever a snapshot still holds it.
-  mutable std::shared_ptr<std::vector<std::size_t>> usage_ GUARDED_BY(mu_);
-  mutable std::vector<dwdm::ChannelSet> a_end_used_ GUARDED_BY(mu_);
+  mutable std::shared_ptr<std::vector<std::size_t>> usage_;
+  mutable std::vector<dwdm::ChannelSet> a_end_used_;
 
   // Incrementally-maintained snapshot ingredients, valid while the model
   // version stamps below match the model. `device_avail_` is device-only
   // per-link availability; `net_avail_` is device minus reservations and
-  // is what assemble_locked() copies into the snapshot.
-  mutable bool built_ GUARDED_BY(mu_) = false;
-  mutable std::vector<dwdm::ChannelSet> device_avail_ GUARDED_BY(mu_);
-  mutable std::vector<dwdm::ChannelSet> net_avail_ GUARDED_BY(mu_);
-  mutable std::vector<std::uint64_t> ot_device_free_bits_ GUARDED_BY(mu_);
-  mutable std::vector<std::uint64_t> regen_device_free_bits_ GUARDED_BY(mu_);
-  mutable std::uint64_t built_plant_version_ GUARDED_BY(mu_) = 0;
-  mutable std::uint64_t built_topology_version_ GUARDED_BY(mu_) = 0;
-  mutable std::uint64_t built_device_version_ GUARDED_BY(mu_) = 0;
+  // is what assemble() copies into the snapshot.
+  mutable bool built_ = false;
+  mutable std::vector<dwdm::ChannelSet> device_avail_;
+  mutable std::vector<dwdm::ChannelSet> net_avail_;
+  mutable std::vector<std::uint64_t> ot_device_free_bits_;
+  mutable std::vector<std::uint64_t> regen_device_free_bits_;
+  mutable std::uint64_t built_plant_version_ = 0;
+  mutable std::uint64_t built_topology_version_ = 0;
+  mutable std::uint64_t built_device_version_ = 0;
 
   // The current snapshot; `overlay_dirty_` is set when the overlay or the
   // device free bits changed since it was assembled.
-  mutable bool overlay_dirty_ GUARDED_BY(mu_) = false;
-  mutable std::shared_ptr<const Snapshot> current_ GUARDED_BY(mu_);
+  mutable bool overlay_dirty_ = false;
+  mutable std::shared_ptr<const Snapshot> current_;
 };
 
 }  // namespace griphon::core

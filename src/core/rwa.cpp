@@ -41,35 +41,26 @@ dwdm::ChannelIndex RwaEngine::pick_channel(
   return best;
 }
 
-RwaEngine::TelemetryHandles RwaEngine::sync_telemetry_locked() const {
+const RwaEngine::TelemetryHandles& RwaEngine::telemetry_handles() const {
   telemetry::Telemetry* t = model_->telemetry();
   if (t == telemetry_seen_) return handles_;
   telemetry_seen_ = t;
-  if (t == nullptr) {
-    handles_ = TelemetryHandles{};
-    return handles_;
-  }
+  handles_ = TelemetryHandles{};
+  if (t == nullptr) return handles_;
   auto& m = t->metrics();
-  TelemetryHandles h;
-  h.cache_hits = m.counter("griphon_rwa_route_cache_hits_total",
-                           "Route-cache hits in cached_routes");
-  h.cache_misses = m.counter("griphon_rwa_route_cache_misses_total",
-                             "Route-cache misses (Yen's recomputed)");
-  h.plans_total =
+  handles_.cache_hits = m.counter("griphon_rwa_route_cache_hits_total",
+                                  "Route-cache hits in cached_routes");
+  handles_.cache_misses = m.counter("griphon_rwa_route_cache_misses_total",
+                                    "Route-cache misses (Yen's recomputed)");
+  handles_.plans_total =
       m.counter("griphon_rwa_plans_total", "Wavelength plan attempts");
-  h.plans_failed = m.counter("griphon_rwa_plans_failed_total",
-                             "Plan attempts that found no viable plan");
-  h.cache_evictions = m.counter(
+  handles_.plans_failed = m.counter("griphon_rwa_plans_failed_total",
+                                    "Plan attempts that found no viable plan");
+  handles_.cache_evictions = m.counter(
       "griphon_rwa_route_cache_evicted_total",
       "Route-cache entries evicted because a link down when they were "
       "computed was repaired");
-  handles_ = h;
   return handles_;
-}
-
-RwaEngine::TelemetryHandles RwaEngine::telemetry_handles() const {
-  MutexLock lock(&mu_);
-  return sync_telemetry_locked();
 }
 
 std::size_t RwaEngine::PairKeyHash::operator()(
@@ -87,7 +78,7 @@ std::size_t RwaEngine::PairKeyHash::operator()(
   return static_cast<std::size_t>(h);
 }
 
-void RwaEngine::sync_failed_locked(const TelemetryHandles& t) const {
+void RwaEngine::sync_failed(const TelemetryHandles& t) const {
   if (route_cache_version_ == model_->topology_version()) return;
   std::vector<std::uint64_t> failed;
   for (const LinkId l : model_->failed_links()) failed.push_back(l.value());
@@ -117,10 +108,9 @@ void RwaEngine::sync_failed_locked(const TelemetryHandles& t) const {
 
 const std::vector<topology::Path>& RwaEngine::candidate_routes(
     NodeId src, NodeId dst, const Exclusions& exclude) const {
-  MutexLock lock(&mu_);
   // External callers (BoD scheduler) skip plan(), so sync here too.
-  const TelemetryHandles t = sync_telemetry_locked();
-  sync_failed_locked(t);
+  const TelemetryHandles& t = telemetry_handles();
+  sync_failed(t);
   PairKey key;
   key.src = src.value();
   key.dst = dst.value();
@@ -181,7 +171,7 @@ const std::vector<topology::Path>& RwaEngine::candidate_routes(
 
 Result<WavelengthPlan> RwaEngine::plan(NodeId src, NodeId dst, DataRate rate,
                                        const Exclusions& exclude) const {
-  const TelemetryHandles t = telemetry_handles();
+  const TelemetryHandles& t = telemetry_handles();
   if (t.plans_total != nullptr) t.plans_total->inc();
   if (src == dst) {
     if (t.plans_failed != nullptr) t.plans_failed->inc();

@@ -16,9 +16,8 @@
 // and the reservation overlay, so every candidate route is judged against
 // the same state. Candidate routes come from a cache keyed on everything
 // Yen's sees — the pair, the excluded nodes and the banned links
-// (exclusions plus currently failed links) — so an entry is never stale.
-// The route cache and cached metric handles are guarded by `mu_`
-// (DESIGN.md §7, §15).
+// (exclusions plus currently failed links) — so an entry is never stale
+// (DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
@@ -27,7 +26,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/sync.hpp"
 #include "core/inventory.hpp"
 #include "dwdm/reach.hpp"
 #include "topology/path.hpp"
@@ -84,7 +82,7 @@ class RwaEngine {
   /// Plan a wavelength connection of `rate` between two core PoPs.
   [[nodiscard]] Result<WavelengthPlan> plan(
       NodeId src, NodeId dst, DataRate rate,
-      const Exclusions& exclude = {}) const EXCLUDES(mu_);
+      const Exclusions& exclude = {}) const;
 
   /// Channels usable on every link of `path[first..last]`, as seen by the
   /// given snapshot.
@@ -105,16 +103,12 @@ class RwaEngine {
   /// share routes without planning wavelengths. The returned reference
   /// stays valid until the entry is evicted — only a repair of a link
   /// that was down when the entry was computed evicts it — so callers use
-  /// it within one planning pass, on the thread that owns model
-  /// mutations.
+  /// it within one planning pass.
   [[nodiscard]] const std::vector<topology::Path>& candidate_routes(
-      NodeId src, NodeId dst, const Exclusions& exclude = {}) const
-      EXCLUDES(mu_);
+      NodeId src, NodeId dst, const Exclusions& exclude = {}) const;
 
  private:
-  /// Metric handles resolved against the current telemetry sink; passed
-  /// around by value so hot-path counting never touches guarded members
-  /// without the lock.
+  /// Metric handles resolved against the current telemetry sink.
   struct TelemetryHandles {
     telemetry::Counter* cache_hits = nullptr;
     telemetry::Counter* cache_misses = nullptr;
@@ -126,7 +120,7 @@ class RwaEngine {
   /// Bring `failed_` up to the model's topology_version() and evict the
   /// entries computed while a now-repaired link was down: they are still
   /// correct for their key, but that failure set may never recur.
-  void sync_failed_locked(const TelemetryHandles& t) const REQUIRES(mu_);
+  void sync_failed(const TelemetryHandles& t) const;
 
   [[nodiscard]] dwdm::ChannelIndex pick_channel(
       const dwdm::ChannelSet& candidates,
@@ -135,8 +129,7 @@ class RwaEngine {
   /// Refresh cached metric handles when the model's telemetry sink changes
   /// (attach/detach). Keeps the steady-state cost of counting at one
   /// pointer comparison + one branch per plan() call.
-  TelemetryHandles sync_telemetry_locked() const REQUIRES(mu_);
-  [[nodiscard]] TelemetryHandles telemetry_handles() const EXCLUDES(mu_);
+  [[nodiscard]] const TelemetryHandles& telemetry_handles() const;
 
   /// Per-pair index key: the part of a query an entry must match exactly
   /// (compared, not just hashed, so a hash collision can never serve the
@@ -163,20 +156,18 @@ class RwaEngine {
   const Inventory* inventory_;
   Params params_;
 
-  mutable Mutex mu_;
-
   // Entries per pair, oldest first; a list so references handed out by
   // candidate_routes() survive later insertions.
   mutable std::unordered_map<PairKey, std::list<RouteEntry>, PairKeyHash>
-      route_cache_ GUARDED_BY(mu_);
+      route_cache_;
   // The model's failed links (sorted ids) as of route_cache_version_.
-  mutable std::vector<std::uint64_t> failed_ GUARDED_BY(mu_);
-  mutable std::uint64_t route_cache_version_ GUARDED_BY(mu_) = 0;
+  mutable std::vector<std::uint64_t> failed_;
+  mutable std::uint64_t route_cache_version_ = 0;
 
   // Metric handles cached against the sink they came from (plan() is the
-  // provisioning hot path; see sync_telemetry_locked()).
-  mutable const void* telemetry_seen_ GUARDED_BY(mu_) = nullptr;
-  mutable TelemetryHandles handles_ GUARDED_BY(mu_);
+  // provisioning hot path; see telemetry_handles()).
+  mutable const void* telemetry_seen_ = nullptr;
+  mutable TelemetryHandles handles_;
 };
 
 }  // namespace griphon::core

@@ -121,18 +121,11 @@ void EmsServer::crash_restart(SimTime restart_after) {
 }
 
 void EmsServer::set_response_cache_capacity(std::size_t capacity) {
-  MutexLock lock(&cache_mu_);
   cache_capacity_ = capacity;
-  while (response_cache_.size() > cache_capacity_) {
-    response_cache_.erase(cache_lru_.front());
-    cache_lru_.pop_front();
-    ++cache_evictions_;
-    if (cache_evictions_total_ != nullptr) cache_evictions_total_->inc();
-  }
+  cache_trim();
 }
 
 std::optional<proto::Response> EmsServer::cache_lookup(std::uint64_t id) {
-  MutexLock lock(&cache_mu_);
   const auto it = response_cache_.find(id);
   if (it == response_cache_.end()) return std::nullopt;
   // Refresh the entry's LRU recency — a retrying id is a hot id.
@@ -141,9 +134,12 @@ std::optional<proto::Response> EmsServer::cache_lookup(std::uint64_t id) {
 }
 
 void EmsServer::cache_insert(std::uint64_t id, const proto::Response& r) {
-  MutexLock lock(&cache_mu_);
   cache_lru_.push_back(id);
   response_cache_[id] = {r, std::prev(cache_lru_.end())};
+  cache_trim();
+}
+
+void EmsServer::cache_trim() {
   while (response_cache_.size() > cache_capacity_) {
     response_cache_.erase(cache_lru_.front());
     cache_lru_.pop_front();
@@ -153,7 +149,6 @@ void EmsServer::cache_insert(std::uint64_t id, const proto::Response& r) {
 }
 
 void EmsServer::cache_flush() {
-  MutexLock lock(&cache_mu_);
   response_cache_.clear();
   cache_lru_.clear();
 }

@@ -23,7 +23,6 @@
 #include <utility>
 
 #include "common/alarm.hpp"
-#include "common/sync.hpp"
 #include "dwdm/muxponder.hpp"
 #include "dwdm/roadm.hpp"
 #include "dwdm/transponder.hpp"
@@ -60,6 +59,10 @@ class EmsServer {
  public:
   EmsServer(sim::Engine* engine, proto::Endpoint* endpoint,
             EmsLatencyProfile profile, std::string name);
+
+  // The endpoint and alarm callbacks capture `this`.
+  EmsServer(const EmsServer&) = delete;
+  EmsServer& operator=(const EmsServer&) = delete;
 
   // --- device inventory (non-owning; devices outlive the EMS) -----------
   void manage_fxc(fxc::Fxc* device);
@@ -99,13 +102,11 @@ class EmsServer {
 
   /// Response-cache introspection (LRU keyed by request id; replay hits
   /// refresh recency). Capacity is tunable for tests.
-  void set_response_cache_capacity(std::size_t capacity) EXCLUDES(cache_mu_);
-  [[nodiscard]] std::size_t response_cache_size() const EXCLUDES(cache_mu_) {
-    MutexLock lock(&cache_mu_);
+  void set_response_cache_capacity(std::size_t capacity);
+  [[nodiscard]] std::size_t response_cache_size() const noexcept {
     return response_cache_.size();
   }
-  [[nodiscard]] std::size_t cache_evictions() const EXCLUDES(cache_mu_) {
-    MutexLock lock(&cache_mu_);
+  [[nodiscard]] std::size_t cache_evictions() const noexcept {
     return cache_evictions_;
   }
 
@@ -134,12 +135,12 @@ class EmsServer {
                std::uint64_t aux);
 
   /// Cached response for a request id, refreshing its LRU recency.
-  [[nodiscard]] std::optional<proto::Response> cache_lookup(std::uint64_t id)
-      EXCLUDES(cache_mu_);
+  [[nodiscard]] std::optional<proto::Response> cache_lookup(std::uint64_t id);
   /// Insert a response, evicting least-recently-used ids past capacity.
-  void cache_insert(std::uint64_t id, const proto::Response& r)
-      EXCLUDES(cache_mu_);
-  void cache_flush() EXCLUDES(cache_mu_);
+  void cache_insert(std::uint64_t id, const proto::Response& r);
+  /// Evict least-recently-used ids until the cache fits its capacity.
+  void cache_trim();
+  void cache_flush();
 
   sim::Engine* engine_;
   proto::Endpoint* endpoint_;
@@ -159,16 +160,13 @@ class EmsServer {
   std::set<std::uint64_t> busy_devices_;
   std::set<std::uint64_t> in_flight_requests_;
   /// Response cache: request id -> (response, position in the LRU list).
-  /// Bounded; least-recently-used id evicted past capacity. Guarded by its
-  /// own mutex (DESIGN.md §15): the replay path is where a future
-  /// multi-threaded control plane first meets EMS state.
-  mutable Mutex cache_mu_;
+  /// Bounded; least-recently-used id evicted past capacity.
   std::map<std::uint64_t,
            std::pair<proto::Response, std::list<std::uint64_t>::iterator>>
-      response_cache_ GUARDED_BY(cache_mu_);
-  std::list<std::uint64_t> cache_lru_ GUARDED_BY(cache_mu_);  // front=coldest
-  std::size_t cache_capacity_ GUARDED_BY(cache_mu_) = 256;
-  std::size_t cache_evictions_ GUARDED_BY(cache_mu_) = 0;
+      response_cache_;
+  std::list<std::uint64_t> cache_lru_;  // front=coldest
+  std::size_t cache_capacity_ = 256;
+  std::size_t cache_evictions_ = 0;
   std::size_t executed_ = 0;
 
   EmsFaultHook* fault_hook_ = nullptr;

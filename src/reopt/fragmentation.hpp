@@ -64,13 +64,13 @@ class FragmentationAnalyzer {
   /// Score the wavelength plane as seen by `snap`. `rwa` supplies the
   /// candidate routes used for pair stranding (sharing its route cache
   /// with provisioning); `pairs` is the demand set to probe — typically
-  /// the data-center site pairs. Owner thread only (candidate_routes).
+  /// the data-center site pairs.
   [[nodiscard]] FragmentationReport analyze(
       const core::Inventory::Snapshot& snap, const core::RwaEngine& rwa,
       const std::vector<std::pair<NodeId, NodeId>>& pairs) const;
 
-  /// Link-plane half of the report only (no route probing) — safe from
-  /// any thread holding a published snapshot.
+  /// Link-plane half of the report only (no route probing): reads
+  /// nothing but `snap`.
   [[nodiscard]] FragmentationReport analyze_links(
       const core::Inventory::Snapshot& snap) const;
 

@@ -22,7 +22,6 @@ const char* to_string(Severity s) noexcept {
 }
 
 void EventLog::set_capacity(std::size_t capacity) {
-  MutexLock lock(&mu_);
   capacity_ = capacity == 0 ? 1 : capacity;
   while (events_.size() > capacity_) {
     events_.pop_front();
@@ -33,7 +32,6 @@ void EventLog::set_capacity(std::size_t capacity) {
 void EventLog::log(SimTime when, Severity severity, std::string category,
                    std::string actor, std::string message,
                    CorrelationTag tag) {
-  MutexLock lock(&mu_);
   if (events_.size() == capacity_) {
     events_.pop_front();
     ++dropped_;
@@ -49,7 +47,6 @@ void EventLog::log(SimTime when, Severity severity, std::string category,
 }
 
 std::vector<const Event*> EventLog::at_least(Severity floor) const {
-  MutexLock lock(&mu_);
   std::vector<const Event*> out;
   for (const Event& e : events_)
     if (e.severity >= floor) out.push_back(&e);
@@ -58,7 +55,6 @@ std::vector<const Event*> EventLog::at_least(Severity floor) const {
 
 std::vector<const Event*> EventLog::for_category(
     const std::string& category) const {
-  MutexLock lock(&mu_);
   std::vector<const Event*> out;
   for (const Event& e : events_)
     if (e.category == category) out.push_back(&e);
@@ -66,13 +62,11 @@ std::vector<const Event*> EventLog::for_category(
 }
 
 void EventLog::clear() {
-  MutexLock lock(&mu_);
   events_.clear();
   dropped_ = 0;
 }
 
 std::string EventLog::to_json() const {
-  MutexLock lock(&mu_);
   std::ostringstream os;
   os << "{\"dropped\":" << dropped_ << ",\"events\":[";
   bool first = true;
@@ -91,7 +85,6 @@ std::string EventLog::to_json() const {
 }
 
 std::string EventLog::render(std::size_t last_n) const {
-  MutexLock lock(&mu_);
   std::ostringstream os;
   os << "event log: " << events_.size() << " event(s)";
   if (dropped_ > 0) os << " (" << dropped_ << " dropped)";

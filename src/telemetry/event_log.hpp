@@ -38,11 +38,8 @@ struct Event {
   CorrelationTag tag = 0;  ///< connection correlation (0 = untagged)
 };
 
-/// Concurrency (DESIGN.md §15): the ring is guarded by one mutex.
-/// Accessors handing out references/pointers into the ring (events(),
-/// at_least(), for_category()) serve the owner thread's export path —
-/// concurrent log() calls may evict the pointees. Cross-thread consumers
-/// use the value-returning to_json()/render().
+/// References and pointers into the ring (events(), at_least(),
+/// for_category()) stay valid until the next log() may evict them.
 class EventLog {
  public:
   explicit EventLog(std::size_t capacity = kDefaultCapacity)
@@ -51,48 +48,36 @@ class EventLog {
   static constexpr std::size_t kDefaultCapacity = 4096;
 
   /// Shrinking below the current size drops the oldest events (counted).
-  void set_capacity(std::size_t capacity) EXCLUDES(mu_);
-  [[nodiscard]] std::size_t capacity() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return capacity_;
-  }
+  void set_capacity(std::size_t capacity);
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   void log(SimTime when, Severity severity, std::string category,
-           std::string actor, std::string message, CorrelationTag tag = 0)
-      EXCLUDES(mu_);
+           std::string actor, std::string message, CorrelationTag tag = 0);
 
-  [[nodiscard]] const std::deque<Event>& events() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
+  [[nodiscard]] const std::deque<Event>& events() const noexcept {
     return events_;
   }
-  [[nodiscard]] std::size_t size() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return events_.size();
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
   /// Events evicted by the ring bound since construction/clear().
-  [[nodiscard]] std::uint64_t dropped_count() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
+  [[nodiscard]] std::uint64_t dropped_count() const noexcept {
     return dropped_;
   }
   /// Events at severity >= `floor` (insertion order preserved).
-  [[nodiscard]] std::vector<const Event*> at_least(Severity floor) const
-      EXCLUDES(mu_);
+  [[nodiscard]] std::vector<const Event*> at_least(Severity floor) const;
   [[nodiscard]] std::vector<const Event*> for_category(
-      const std::string& category) const EXCLUDES(mu_);
+      const std::string& category) const;
 
-  void clear() EXCLUDES(mu_);
+  void clear();
 
   /// {"dropped":N,"events":[{...},...]} — times in seconds, newest last.
-  [[nodiscard]] std::string to_json() const EXCLUDES(mu_);
+  [[nodiscard]] std::string to_json() const;
   /// Human-readable tail (newest `last_n` events) for the shell.
-  [[nodiscard]] std::string render(std::size_t last_n = 20) const
-      EXCLUDES(mu_);
+  [[nodiscard]] std::string render(std::size_t last_n = 20) const;
 
  private:
-  mutable Mutex mu_;
-  std::deque<Event> events_ GUARDED_BY(mu_);
-  std::size_t capacity_ GUARDED_BY(mu_);
-  std::uint64_t dropped_ GUARDED_BY(mu_) = 0;
+  std::deque<Event> events_;
+  std::size_t capacity_;
+  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace griphon::telemetry

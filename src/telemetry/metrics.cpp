@@ -14,29 +14,12 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
 
 void Histogram::observe(double x) noexcept {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  MutexLock lock(&mu_);
   ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
   ++count_;
   sum_ += x;
 }
 
-std::uint64_t Histogram::count() const noexcept {
-  MutexLock lock(&mu_);
-  return count_;
-}
-
-double Histogram::sum() const noexcept {
-  MutexLock lock(&mu_);
-  return sum_;
-}
-
-std::vector<std::uint64_t> Histogram::buckets() const {
-  MutexLock lock(&mu_);
-  return buckets_;
-}
-
 double Histogram::quantile(double q) const noexcept {
-  MutexLock lock(&mu_);
   if (count_ == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
   // Rank of the target observation (1-based, rounded up as in nearest-rank).
@@ -86,7 +69,7 @@ std::string MetricsRegistry::label_key(const Labels& labels) {
   return out;
 }
 
-MetricsRegistry::Family& MetricsRegistry::family_for_locked(
+MetricsRegistry::Family& MetricsRegistry::family_for(
     const std::string& name, const std::string& help, Kind kind) {
   auto& f = families_[name];
   if (f.samples.empty()) {
@@ -102,9 +85,7 @@ MetricsRegistry::Family& MetricsRegistry::family_for_locked(
 Counter* MetricsRegistry::counter(const std::string& name,
                                   const std::string& help,
                                   const Labels& labels) {
-  MutexLock lock(&mu_);
-  auto& s =
-      family_for_locked(name, help, Kind::kCounter).samples[label_key(labels)];
+  auto& s = family_for(name, help, Kind::kCounter).samples[label_key(labels)];
   if (s.c == nullptr) {
     s.c = std::make_unique<Counter>();
     ++series_;
@@ -114,9 +95,7 @@ Counter* MetricsRegistry::counter(const std::string& name,
 
 Gauge* MetricsRegistry::gauge(const std::string& name, const std::string& help,
                               const Labels& labels) {
-  MutexLock lock(&mu_);
-  auto& s =
-      family_for_locked(name, help, Kind::kGauge).samples[label_key(labels)];
+  auto& s = family_for(name, help, Kind::kGauge).samples[label_key(labels)];
   if (s.g == nullptr) {
     s.g = std::make_unique<Gauge>();
     ++series_;
@@ -128,9 +107,8 @@ Histogram* MetricsRegistry::histogram(const std::string& name,
                                       const std::string& help,
                                       std::vector<double> bounds,
                                       const Labels& labels) {
-  MutexLock lock(&mu_);
-  auto& s = family_for_locked(name, help, Kind::kHistogram)
-                .samples[label_key(labels)];
+  auto& s =
+      family_for(name, help, Kind::kHistogram).samples[label_key(labels)];
   if (s.h == nullptr) {
     s.h = std::make_unique<Histogram>(std::move(bounds));
     ++series_;
@@ -138,12 +116,7 @@ Histogram* MetricsRegistry::histogram(const std::string& name,
   return s.h.get();
 }
 
-std::size_t MetricsRegistry::size() const {
-  MutexLock lock(&mu_);
-  return series_;
-}
-
-const MetricsRegistry::Sample* MetricsRegistry::find_sample_locked(
+const MetricsRegistry::Sample* MetricsRegistry::find_sample(
     const std::string& name, const Labels& labels) const {
   const auto it = families_.find(name);
   if (it == families_.end()) return nullptr;
@@ -153,27 +126,23 @@ const MetricsRegistry::Sample* MetricsRegistry::find_sample_locked(
 
 const Counter* MetricsRegistry::find_counter(const std::string& name,
                                              const Labels& labels) const {
-  MutexLock lock(&mu_);
-  const Sample* s = find_sample_locked(name, labels);
+  const Sample* s = find_sample(name, labels);
   return s == nullptr ? nullptr : s->c.get();
 }
 
 const Gauge* MetricsRegistry::find_gauge(const std::string& name,
                                          const Labels& labels) const {
-  MutexLock lock(&mu_);
-  const Sample* s = find_sample_locked(name, labels);
+  const Sample* s = find_sample(name, labels);
   return s == nullptr ? nullptr : s->g.get();
 }
 
 const Histogram* MetricsRegistry::find_histogram(const std::string& name,
                                                  const Labels& labels) const {
-  MutexLock lock(&mu_);
-  const Sample* s = find_sample_locked(name, labels);
+  const Sample* s = find_sample(name, labels);
   return s == nullptr ? nullptr : s->h.get();
 }
 
 double MetricsRegistry::counter_family_sum(const std::string& name) const {
-  MutexLock lock(&mu_);
   const auto it = families_.find(name);
   if (it == families_.end() || it->second.kind != Kind::kCounter) return 0;
   double sum = 0;
@@ -224,9 +193,6 @@ std::string escape_help(const std::string& help) {
 
 std::string MetricsRegistry::to_prometheus() const {
   std::ostringstream os;
-  // Lock order (DESIGN.md §15): registry mu_ first, then each histogram's
-  // internal lock via its accessors.
-  MutexLock lock(&mu_);
   for (const auto& [name, f] : families_) {
     os << "# HELP " << name << ' ' << escape_help(f.help) << '\n';
     switch (f.kind) {
@@ -243,9 +209,7 @@ std::string MetricsRegistry::to_prometheus() const {
       case Kind::kHistogram: {
         os << "# TYPE " << name << " histogram\n";
         for (const auto& [labels, s] : f.samples) {
-          // One coherent copy per series: buckets/count/sum must agree
-          // within a single exposition even under concurrent observe().
-          const std::vector<std::uint64_t> buckets = s.h->buckets();
+          const std::vector<std::uint64_t>& buckets = s.h->buckets();
           const std::vector<double>& bounds = s.h->bounds();
           std::uint64_t cum = 0;
           for (std::size_t i = 0; i < bounds.size(); ++i) {
@@ -286,7 +250,6 @@ std::string MetricsRegistry::to_json_rows(const std::string& bench) const {
     first = false;
   };
   os << "[";
-  MutexLock lock(&mu_);
   for (const auto& [name, f] : families_) {
     for (const auto& [labels, s] : f.samples) {
       switch (f.kind) {
@@ -337,7 +300,6 @@ bool MetricsRegistry::name_ok(const std::string& name) noexcept {
 
 std::vector<std::string> MetricsRegistry::invalid_names() const {
   // The scheme governs family names; label blocks are free-form.
-  MutexLock lock(&mu_);
   std::vector<std::string> bad;
   for (const auto& [name, f] : families_)
     if (!name_ok(name)) bad.push_back(name);

@@ -16,14 +16,8 @@
 // is its own independently incremented series under the family name. The
 // naming scheme applies to the family name; labels are free-form key/value
 // pairs rendered in Prometheus exposition syntax.
-// Concurrency (DESIGN.md §15): Counter/Gauge are single machine words and
-// use relaxed atomics — any thread may bump them through a cached handle
-// with no lock. Histogram and the registry itself are multi-word and take
-// a Mutex; exposition (to_prometheus / to_json_rows) locks the registry
-// first, then each histogram (that is the documented lock order).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -31,35 +25,25 @@
 #include <utility>
 #include <vector>
 
-#include "common/sync.hpp"
-
 namespace griphon::telemetry {
 
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void inc(std::uint64_t n = 1) noexcept { value_ += n; }
+  [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 class Gauge {
  public:
-  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  void add(double d) noexcept {
-    value_.fetch_add(d, std::memory_order_relaxed);
-  }
-  [[nodiscard]] double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void set(double v) noexcept { value_ = v; }
+  void add(double d) noexcept { value_ += d; }
+  [[nodiscard]] double value() const noexcept { return value_; }
 
  private:
-  std::atomic<double> value_{0};
+  double value_ = 0;
 };
 
 /// Fixed-bucket histogram. Bounds are ascending upper bounds; observations
@@ -71,29 +55,28 @@ class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);
 
-  void observe(double x) noexcept EXCLUDES(mu_);
+  void observe(double x) noexcept;
 
-  [[nodiscard]] std::uint64_t count() const noexcept EXCLUDES(mu_);
-  [[nodiscard]] double sum() const noexcept EXCLUDES(mu_);
+  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
+  [[nodiscard]] double sum() const noexcept { return sum_; }
   /// q in [0, 1]. Returns 0 on an empty histogram; ranks falling in the
   /// overflow bucket are clamped to the last finite bound.
-  [[nodiscard]] double quantile(double q) const noexcept EXCLUDES(mu_);
+  [[nodiscard]] double quantile(double q) const noexcept;
 
   [[nodiscard]] const std::vector<double>& bounds() const noexcept {
     return bounds_;
   }
   /// Per-bucket (non-cumulative) count; index bounds_.size() = overflow.
-  /// Returned by value: a coherent copy taken under the lock.
-  [[nodiscard]] std::vector<std::uint64_t> buckets() const EXCLUDES(mu_);
+  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const noexcept {
+    return buckets_;
+  }
 
  private:
   const std::vector<double> bounds_;  ///< immutable after construction
-
-  mutable Mutex mu_;
   // bounds_.size() + 1 entries (overflow last).
-  std::vector<std::uint64_t> buckets_ GUARDED_BY(mu_);
-  std::uint64_t count_ GUARDED_BY(mu_) = 0;
-  double sum_ GUARDED_BY(mu_) = 0;
+  std::vector<std::uint64_t> buckets_;
+  std::uint64_t count_ = 0;
+  double sum_ = 0;
 };
 
 /// Default buckets for duration histograms, in seconds: 1 ms .. 300 s,
@@ -113,42 +96,38 @@ class MetricsRegistry {
   /// Handles stay valid for the registry's lifetime (series are
   /// unique_ptr-owned, so rehash/rebalance never moves them).
   Counter* counter(const std::string& name, const std::string& help,
-                   const Labels& labels = {}) EXCLUDES(mu_);
+                   const Labels& labels = {});
   Gauge* gauge(const std::string& name, const std::string& help,
-               const Labels& labels = {}) EXCLUDES(mu_);
+               const Labels& labels = {});
   Histogram* histogram(const std::string& name, const std::string& help,
                        std::vector<double> bounds = duration_buckets(),
-                       const Labels& labels = {}) EXCLUDES(mu_);
+                       const Labels& labels = {});
 
   /// Number of registered series (each label set counts separately).
-  [[nodiscard]] std::size_t size() const EXCLUDES(mu_);
+  [[nodiscard]] std::size_t size() const noexcept { return series_; }
   [[nodiscard]] const Counter* find_counter(const std::string& name,
-                                            const Labels& labels = {}) const
-      EXCLUDES(mu_);
+                                            const Labels& labels = {}) const;
   [[nodiscard]] const Gauge* find_gauge(const std::string& name,
-                                        const Labels& labels = {}) const
-      EXCLUDES(mu_);
+                                        const Labels& labels = {}) const;
   [[nodiscard]] const Histogram* find_histogram(
-      const std::string& name, const Labels& labels = {}) const EXCLUDES(mu_);
+      const std::string& name, const Labels& labels = {}) const;
   /// Sum of every series' value in a counter family (0 if the family is
   /// absent or not a counter family) — the fleet-wide total for families
   /// that only register labeled series.
-  [[nodiscard]] double counter_family_sum(const std::string& name) const
-      EXCLUDES(mu_);
+  [[nodiscard]] double counter_family_sum(const std::string& name) const;
 
   /// Prometheus text exposition format (# HELP / # TYPE / samples).
-  [[nodiscard]] std::string to_prometheus() const EXCLUDES(mu_);
+  [[nodiscard]] std::string to_prometheus() const;
   /// emit_json.hpp row format: a JSON array of {bench, metric, value, unit}
   /// rows. Histograms expand to _count/_sum/_p50/_p95/_p99 rows.
-  [[nodiscard]] std::string to_json_rows(const std::string& bench) const
-      EXCLUDES(mu_);
+  [[nodiscard]] std::string to_json_rows(const std::string& bench) const;
 
   /// True iff `name` matches the scheme griphon_<layer>_<name>: lower-case
   /// [a-z0-9_], `griphon_` prefix, at least three `_`-separated tokens,
   /// no empty token.
   [[nodiscard]] static bool name_ok(const std::string& name) noexcept;
   /// Registered names violating the scheme (empty = all conform).
-  [[nodiscard]] std::vector<std::string> invalid_names() const EXCLUDES(mu_);
+  [[nodiscard]] std::vector<std::string> invalid_names() const;
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
@@ -166,16 +145,14 @@ class MetricsRegistry {
 
   /// Canonical `{k="v",...}` block (sorted by key; "" for no labels).
   [[nodiscard]] static std::string label_key(const Labels& labels);
-  Family& family_for_locked(const std::string& name, const std::string& help,
-                            Kind kind) REQUIRES(mu_);
-  [[nodiscard]] const Sample* find_sample_locked(const std::string& name,
-                                                 const Labels& labels) const
-      REQUIRES(mu_);
+  Family& family_for(const std::string& name, const std::string& help,
+                     Kind kind);
+  [[nodiscard]] const Sample* find_sample(const std::string& name,
+                                          const Labels& labels) const;
 
-  mutable Mutex mu_;
   // Ordered map: exposition output is sorted and therefore diffable.
-  std::map<std::string, Family> families_ GUARDED_BY(mu_);
-  std::size_t series_ GUARDED_BY(mu_) = 0;
+  std::map<std::string, Family> families_;
+  std::size_t series_ = 0;
 };
 
 }  // namespace griphon::telemetry

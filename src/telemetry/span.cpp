@@ -9,7 +9,7 @@ namespace griphon::telemetry {
 
 SpanId SpanTracer::append(Span s) {
   if (s.tag == 0 && s.parent != 0) {
-    if (const Span* p = find_locked(s.parent)) s.tag = p->tag;
+    if (const Span* p = find(s.parent)) s.tag = p->tag;
   }
   s.id = next_++;
   spans_.push_back(std::move(s));
@@ -18,7 +18,6 @@ SpanId SpanTracer::append(Span s) {
 
 SpanId SpanTracer::start(std::string name, std::string actor,
                          CorrelationTag tag, SpanId parent, SimTime now) {
-  MutexLock lock(&mu_);
   Span s;
   s.parent = parent;
   s.tag = tag;
@@ -32,8 +31,8 @@ SpanId SpanTracer::start(std::string name, std::string actor,
 
 void SpanTracer::end(SpanId id, SimTime now, bool ok, std::string detail) {
   if (id == 0) return;
-  MutexLock lock(&mu_);
-  Span* s = find_locked(id);
+  // find() is the one id lookup; the span it returns is ours to update.
+  Span* s = const_cast<Span*>(find(id));
   if (s == nullptr || s->done) return;
   s->end = now;
   s->done = true;
@@ -45,7 +44,6 @@ void SpanTracer::end(SpanId id, SimTime now, bool ok, std::string detail) {
 SpanId SpanTracer::record(std::string name, std::string actor,
                           CorrelationTag tag, SpanId parent, SimTime start,
                           SimTime end, bool ok, std::string detail) {
-  MutexLock lock(&mu_);
   Span s;
   s.parent = parent;
   s.tag = tag;
@@ -59,21 +57,11 @@ SpanId SpanTracer::record(std::string name, std::string actor,
   return append(std::move(s));
 }
 
-Span* SpanTracer::find_locked(SpanId id) {
-  return id >= first_ && id < next_ ? &spans_[id - first_] : nullptr;
-}
-
-const Span* SpanTracer::find_locked(SpanId id) const {
-  return id >= first_ && id < next_ ? &spans_[id - first_] : nullptr;
-}
-
 const Span* SpanTracer::find(SpanId id) const {
-  MutexLock lock(&mu_);
-  return find_locked(id);
+  return id >= first_ && id < next_ ? &spans_[id - first_] : nullptr;
 }
 
 std::vector<const Span*> SpanTracer::for_tag(CorrelationTag tag) const {
-  MutexLock lock(&mu_);
   std::vector<const Span*> out;
   for (const Span& s : spans_)
     if (s.tag == tag) out.push_back(&s);
@@ -81,7 +69,6 @@ std::vector<const Span*> SpanTracer::for_tag(CorrelationTag tag) const {
 }
 
 std::vector<const Span*> SpanTracer::children_of(SpanId id) const {
-  MutexLock lock(&mu_);
   std::vector<const Span*> out;
   for (const Span& s : spans_)
     if (s.parent == id) out.push_back(&s);
@@ -89,14 +76,12 @@ std::vector<const Span*> SpanTracer::children_of(SpanId id) const {
 }
 
 void SpanTracer::clear() {
-  MutexLock lock(&mu_);
   spans_.clear();
   first_ = next_;
   open_ = 0;
 }
 
 std::string SpanTracer::to_json(CorrelationTag tag) const {
-  MutexLock lock(&mu_);
   std::ostringstream os;
   os << "[";
   bool first = true;

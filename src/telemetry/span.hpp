@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/sync.hpp"
 #include "common/units.hpp"
 
 namespace griphon::telemetry {
@@ -52,63 +51,46 @@ struct Span {
 
 /// Span ids are dense (each start()/record() takes the next one), so the
 /// store needs no index: id `first_ + i` is spans_[i], and clear() moves
-/// first_ past every id handed out so far.
-///
-/// Concurrency (DESIGN.md §15): the span store is guarded by one mutex.
-/// Accessors returning references/pointers into the store (spans(),
-/// find(), for_tag(), children_of()) are for the owner thread's export
-/// path. The store is a deque, so appends never move a stored span: a
-/// pointer or reference stays valid until clear(). Iterating spans()
-/// while another thread appends is still a race; cross-thread consumers
-/// go through the value-returning to_json().
+/// first_ past every id handed out so far. The store is a deque, so
+/// appends never move a stored span: a pointer or reference from spans(),
+/// find(), for_tag() or children_of() stays valid until clear().
 class SpanTracer {
  public:
   /// Open a span at `now`. A zero tag inherits the parent's tag, so only
   /// the root of an operation needs explicit correlation.
   SpanId start(std::string name, std::string actor, CorrelationTag tag,
-               SpanId parent, SimTime now) EXCLUDES(mu_);
+               SpanId parent, SimTime now);
 
   /// Close a span. No-op for id 0, unknown ids, or already-closed spans —
   /// instrumentation on error paths may double-close safely.
-  void end(SpanId id, SimTime now, bool ok = true, std::string detail = {})
-      EXCLUDES(mu_);
+  void end(SpanId id, SimTime now, bool ok = true, std::string detail = {});
 
   /// Record a completed span retroactively (for phases whose start was
   /// only known in hindsight, e.g. detect = fiber-cut → first alarm).
   SpanId record(std::string name, std::string actor, CorrelationTag tag,
                 SpanId parent, SimTime start, SimTime end, bool ok = true,
-                std::string detail = {}) EXCLUDES(mu_);
+                std::string detail = {});
 
-  [[nodiscard]] const std::deque<Span>& spans() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
+  [[nodiscard]] const std::deque<Span>& spans() const noexcept {
     return spans_;
   }
-  [[nodiscard]] const Span* find(SpanId id) const EXCLUDES(mu_);
-  [[nodiscard]] std::vector<const Span*> for_tag(CorrelationTag tag) const
-      EXCLUDES(mu_);
-  [[nodiscard]] std::vector<const Span*> children_of(SpanId id) const
-      EXCLUDES(mu_);
-  [[nodiscard]] std::size_t open_count() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return open_;
-  }
-  void clear() EXCLUDES(mu_);
+  [[nodiscard]] const Span* find(SpanId id) const;
+  [[nodiscard]] std::vector<const Span*> for_tag(CorrelationTag tag) const;
+  [[nodiscard]] std::vector<const Span*> children_of(SpanId id) const;
+  [[nodiscard]] std::size_t open_count() const noexcept { return open_; }
+  void clear();
 
   /// JSON array of spans (tag 0 = every span) for offline tooling; times
   /// in seconds.
-  [[nodiscard]] std::string to_json(CorrelationTag tag = 0) const
-      EXCLUDES(mu_);
+  [[nodiscard]] std::string to_json(CorrelationTag tag = 0) const;
 
  private:
-  [[nodiscard]] Span* find_locked(SpanId id) REQUIRES(mu_);
-  [[nodiscard]] const Span* find_locked(SpanId id) const REQUIRES(mu_);
-  SpanId append(Span s) REQUIRES(mu_);
+  SpanId append(Span s);
 
-  mutable Mutex mu_;
-  std::deque<Span> spans_ GUARDED_BY(mu_);
-  SpanId first_ GUARDED_BY(mu_) = 1;  ///< id of spans_.front()
-  SpanId next_ GUARDED_BY(mu_) = 1;
-  std::size_t open_ GUARDED_BY(mu_) = 0;
+  std::deque<Span> spans_;
+  SpanId first_ = 1;  ///< id of spans_.front()
+  SpanId next_ = 1;
+  std::size_t open_ = 0;
 };
 
 }  // namespace griphon::telemetry

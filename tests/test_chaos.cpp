@@ -241,6 +241,23 @@ TEST(EmsCache, LruEvictionWithReplayRefresh) {
       tel.metrics().find_counter("griphon_ems_roadm_cache_evictions_total");
   ASSERT_NE(ev, nullptr);
   EXPECT_EQ(ev->value(), 2u);
+
+  // Shrinking a full cache evicts its coldest ids. Grow to 3 and fill it
+  // (LRU order 1, 2, 3); replaying 1 leaves 2 and 3 the coldest.
+  server.set_response_cache_capacity(3);
+  send(3);
+  send(1);
+  EXPECT_EQ(server.response_cache_size(), 3u);
+  EXPECT_EQ(server.commands_executed(), 5u);
+  server.set_response_cache_capacity(1);
+  EXPECT_EQ(server.response_cache_size(), 1u);
+  EXPECT_EQ(server.cache_evictions(), 4u);
+  EXPECT_EQ(ev->value(), 4u);
+  send(1);
+  EXPECT_EQ(server.commands_executed(), 5u);  // the hottest id survived
+  send(3);
+  EXPECT_EQ(server.commands_executed(), 6u);  // an evicted id re-executes
+  EXPECT_EQ(responses, 10);
   server.set_telemetry(nullptr);
 }
 

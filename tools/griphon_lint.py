@@ -31,27 +31,19 @@ Checks (DESIGN.md §10):
   no-artifacts     No build artifacts tracked by git: nothing under build*/,
                    no object/archive/ninja/CMake-cache files, no binary
                    blobs (NUL byte in the first 8 KiB).
-  raw-sync         Library code under src/ must not use std::mutex /
+  raw-sync         Library code under src/ runs on one thread, the
+                   sim::Engine loop (DESIGN.md §15): no std::mutex /
                    std::lock_guard / std::thread / std::condition_variable
-                   etc. directly — use the annotated wrappers in
-                   common/sync.hpp (Mutex, MutexLock, CondVar) so Clang
-                   thread-safety analysis sees every lock (DESIGN.md §15).
-                   src/common/sync.hpp itself (the wrapper implementation)
-                   is exempt. Tests/benches may spawn std::thread.
+                   / std::atomic... there. Parallel work means separate
+                   processes. Tests/benches may spawn std::thread.
   detached-thread  No `.detach()` anywhere in the tree: a detached thread
                    outlives the scope that can join it, which breaks both
                    TSan shutdown and run-to-run determinism.
   mutable-global   No static-storage mutable data in src/ (`static` /
                    `inline static` declarations that are not const or
-                   constexpr): hidden global state is invisible to the
-                   capability annotations and breaks replay determinism.
+                   constexpr): hidden global state outlives the
+                   simulation that wrote it and breaks replay determinism.
                    Static member *functions* are fine.
-  guarded-member   Every `Mutex foo_;` member declared in a src/ header
-                   must be referenced by at least one GUARDED_BY(foo_) /
-                   PT_GUARDED_BY(foo_) in the same file — a mutex that
-                   guards nothing is either dead or (worse) the guarded
-                   members were left unannotated, which silently disables
-                   the analysis for them.
   conn-state       Library code under src/ must not assign a connection
                    state (`.state = ConnectionState::` / `->state =
                    ConnectionState::`) outside GriphonController::set_state,
@@ -512,18 +504,12 @@ def check_no_artifacts(findings: list[Finding]) -> None:
 RAW_SYNC_RE = re.compile(
     r"\bstd::(?:mutex|timed_mutex|recursive_mutex|recursive_timed_mutex|"
     r"shared_mutex|shared_timed_mutex|lock_guard|unique_lock|scoped_lock|"
-    r"shared_lock|condition_variable(?:_any)?|thread|jthread)\b"
+    r"shared_lock|condition_variable(?:_any)?|thread|jthread|atomic\w*)\b"
 )
-# The annotated wrappers are implemented in terms of std::mutex — that is
-# the one place the raw primitives belong.
-RAW_SYNC_EXEMPT = (os.path.join("src", "common", "sync.hpp"),)
 
 
 def check_raw_sync(findings: list[Finding]) -> None:
     for path in repo_files(("src",), (".cpp", ".hpp")):
-        rel = os.path.relpath(path, REPO_ROOT)
-        if rel in RAW_SYNC_EXEMPT:
-            continue
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
         text = strip_comments(raw)
@@ -533,9 +519,9 @@ def check_raw_sync(findings: list[Finding]) -> None:
                 path,
                 line_of(text, m.start()),
                 "raw-sync",
-                f"{m.group(0)} in library code — use the annotated "
-                "Mutex/MutexLock/CondVar from common/sync.hpp so "
-                "-Wthread-safety sees the lock (DESIGN.md §15)",
+                f"{m.group(0)} in library code — src/ runs on one thread, "
+                "the sim::Engine loop; run parallel work as separate "
+                "processes (DESIGN.md §15)",
             )
             if not allowed(raw_lines, f):
                 findings.append(f)
@@ -589,42 +575,8 @@ def check_mutable_global(findings: list[Finding]) -> None:
                 path,
                 line_of(text, m.start()),
                 "mutable-global",
-                "static-storage mutable data — hidden shared state is "
-                "invisible to GUARDED_BY and breaks replay determinism; "
-                "thread state through the owning object",
-            )
-            if not allowed(raw_lines, f):
-                findings.append(f)
-
-
-# --- guarded-member ---------------------------------------------------------
-
-MUTEX_MEMBER_RE = re.compile(r"\bMutex\s+(?P<name>\w+)\s*;")
-
-
-def check_guarded_member(findings: list[Finding]) -> None:
-    for path in repo_files(("src",), (".hpp",)):
-        rel = os.path.relpath(path, REPO_ROOT)
-        if rel in RAW_SYNC_EXEMPT:
-            continue
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-        text = strip_comments(raw)
-        raw_lines = raw.splitlines()
-        for m in MUTEX_MEMBER_RE.finditer(text):
-            name = m.group("name")
-            if re.search(
-                r"\b(?:PT_)?GUARDED_BY\(\s*" + re.escape(name) + r"\s*\)",
-                text,
-            ):
-                continue
-            f = Finding(
-                path,
-                line_of(text, m.start()),
-                "guarded-member",
-                f"Mutex {name} guards no member — annotate the protected "
-                f"members GUARDED_BY({name}) or remove the mutex "
-                "(DESIGN.md §15)",
+                "static-storage mutable data — hidden global state breaks "
+                "replay determinism; keep the state in the owning object",
             )
             if not allowed(raw_lines, f):
                 findings.append(f)
@@ -708,11 +660,16 @@ SELF_TEST_FIXTURES = (
         2,
     ),
     (
-        "#pragma once\nclass C {\n mutable Mutex dead_mu_;\n int x_;\n};\n"
-        "class D {\n mutable Mutex mu_;\n int y_ GUARDED_BY(mu_);\n};\n",
-        os.path.join("src", "core", "fixture_guarded.hpp"),
-        "guarded-member",
+        "#pragma once\n#include <atomic>\nstd::atomic<int> hits{0};\n",
+        os.path.join("src", "core", "fixture_atomic.hpp"),
+        "raw-sync",
         1,
+    ),
+    (
+        "#include <atomic>\nstd::atomic<int> hits{0};\n",
+        os.path.join("tests", "fixture_atomic.cpp"),
+        "raw-sync",
+        0,  # tests/ may share state across the threads they start
     ),
     (
         "void GriphonController::set_state(Connection& c, State to);\n"
@@ -749,7 +706,6 @@ def self_test() -> int:
             "raw-sync": check_raw_sync,
             "detached-thread": check_detached_thread,
             "mutable-global": check_mutable_global,
-            "guarded-member": check_guarded_member,
             "conn-state": check_conn_state,
         }
         for source, rel, check, expected in SELF_TEST_FIXTURES:
@@ -767,19 +723,6 @@ def self_test() -> int:
             print(f"self-test [{check}] expected {expected} got {got}: "
                   f"{status}")
             os.remove(fixture)
-        # raw-sync must stay quiet on the wrapper header itself.
-        exempt_dir = os.path.join(tmp, "src", "common")
-        os.makedirs(exempt_dir, exist_ok=True)
-        with open(os.path.join(exempt_dir, "sync.hpp"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("#pragma once\n#include <mutex>\nstd::mutex impl_mu;\n")
-        findings = []
-        check_raw_sync(findings)
-        status = "ok" if not findings else "FAIL"
-        if findings:
-            failures += 1
-        print(f"self-test [raw-sync exemption] expected 0 got "
-              f"{len(findings)}: {status}")
     finally:
         REPO_ROOT = saved_root
         shutil.rmtree(tmp, ignore_errors=True)
@@ -800,7 +743,6 @@ CHECKS = {
     "raw-sync": check_raw_sync,
     "detached-thread": check_detached_thread,
     "mutable-global": check_mutable_global,
-    "guarded-member": check_guarded_member,
     "conn-state": check_conn_state,
 }
 
