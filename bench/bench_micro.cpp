@@ -4,6 +4,8 @@
 // production controller could make decisions, independent of EMS latency.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "core/inventory.hpp"
 #include "core/network_model.hpp"
 #include "core/rwa.hpp"
@@ -25,6 +27,33 @@ void BM_EngineScheduleFire(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EngineScheduleFire);
+
+// One EMS command's engine traffic per item: a frame delivery whose
+// callback owns a 40-byte frame (too large for std::function's small
+// buffer), and a 5 s request timer that the delivery cancels, as a
+// response does. BM_EngineScheduleFire sees neither cost.
+void BM_EngineCommandPattern(benchmark::State& state) {
+  constexpr std::size_t kCommands = 1000;
+  const proto::Bytes frame(40, 0x5A);
+  std::vector<sim::EventHandle> timers(kCommands);
+  for (auto _ : state) {
+    sim::Engine engine;
+    std::size_t delivered = 0;
+    for (std::size_t i = 0; i < kCommands; ++i) {
+      engine.schedule(microseconds(static_cast<std::int64_t>(i)),
+                      [&engine, &timers, &delivered, i, frame]() {
+                        delivered += frame.size();
+                        engine.cancel(timers[i]);
+                      });
+      timers[i] = engine.schedule(seconds(5), []() {});
+    }
+    benchmark::DoNotOptimize(engine.run());
+    benchmark::DoNotOptimize(delivered);
+  }
+  state.SetItemsProcessed(
+      state.iterations() * static_cast<std::int64_t>(kCommands));
+}
+BENCHMARK(BM_EngineCommandPattern);
 
 void BM_DijkstraBackbone(benchmark::State& state) {
   const auto g = topology::us_backbone();

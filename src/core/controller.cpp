@@ -530,7 +530,9 @@ void GriphonController::finish_dag(const std::shared_ptr<RunState>& state) {
     total = std::max(total, rec.end_s);
   state->report.total_s = total;
   mark_critical_path(state->report);
-  last_dag_report_ = state->report;
+  // Nothing reads the run's report after this: the scheduler is idle, so
+  // no completion callback of this run is still to come.
+  last_dag_report_ = std::move(state->report);
   std::sort(state->succeeded.begin(), state->succeeded.end());
   state->done(s, std::move(state->succeeded));
 }

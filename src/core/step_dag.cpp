@@ -15,16 +15,21 @@ StepDag::StepDag(const StepList& steps) {
   // command depends on the previous command addressed to the same managed
   // element, so same-device order never depends on queue arrival.
   std::map<std::uint64_t, std::size_t> last_on_element;
+  std::vector<std::size_t> deps;
   for (std::size_t i = 0; i < steps.size(); ++i) {
-    std::set<std::size_t> deps(steps[i].deps.begin(), steps[i].deps.end());
-    const std::uint64_t key = proto::element_key(steps[i].forward);
-    if (const auto it = last_on_element.find(key);
-        it != last_on_element.end())
-      deps.insert(it->second);
-    last_on_element[key] = i;
-    deps.erase(i);  // self-edges would deadlock; drop them defensively
+    deps.assign(steps[i].deps.begin(), steps[i].deps.end());
+    const auto [last, first_on_element] =
+        last_on_element.try_emplace(proto::element_key(steps[i].forward), i);
+    if (!first_on_element) {
+      deps.push_back(last->second);
+      last->second = i;
+    }
+    std::sort(deps.begin(), deps.end());
+    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
     for (const std::size_t d : deps) {
-      if (d >= i) continue;  // edges only point backwards in list order
+      // Edges only point backwards in list order; self-edges would
+      // deadlock, so both are dropped defensively.
+      if (d >= i) continue;
       deps_[i].push_back(d);
       dependents_[d].push_back(i);
     }

@@ -192,7 +192,7 @@ void EmsServer::pump(std::uint64_t device) {
   auto& queue = queues_[device];
   if (busy_devices_.contains(device) || queue.empty()) return;
   busy_devices_.insert(device);
-  const QueuedCommand cmd = std::move(queue.front());
+  QueuedCommand cmd = std::move(queue.front());
   queue.pop_front();
   in_flight_requests_.insert(cmd.request_id);
   // Management-plane overhead, then the optical task, then the reply.
@@ -212,11 +212,12 @@ void EmsServer::pump(std::uint64_t device) {
       if (telemetry_ != nullptr)
         telemetry_->event(telemetry::Severity::kWarn, "ems", name_,
                           "injected NACK: " + injected.error().message());
-      engine_->schedule(overhead, [this, cmd, device, epoch, injected]() {
+      engine_->schedule(overhead, [this, id = cmd.request_id, device, epoch,
+                                   injected]() {
         if (epoch != boot_epoch_) return;  // EMS crashed meanwhile
-        respond(cmd.request_id, injected, 0);
+        respond(id, injected, 0);
         busy_devices_.erase(device);
-        in_flight_requests_.erase(cmd.request_id);
+        in_flight_requests_.erase(id);
         pump(device);
       });
       return;
@@ -226,7 +227,8 @@ void EmsServer::pump(std::uint64_t device) {
     queue_wait_seconds_->observe(to_seconds(engine_->now() - cmd.enqueued_at));
     task_seconds_->observe(to_seconds(overhead + task));
   }
-  engine_->schedule(overhead + task, [this, cmd, device, epoch]() {
+  engine_->schedule(overhead + task, [this, cmd = std::move(cmd), device,
+                                     epoch]() {
     if (epoch != boot_epoch_) return;  // EMS crashed mid-dialogue
     execute(cmd);
     busy_devices_.erase(device);

@@ -40,16 +40,20 @@ void ControlChannel::transmit(Endpoint* to, Bytes frame) {
   SimTime& last = (to == &a_) ? last_to_a_ : last_to_b_;
   when = std::max(when, last);
   last = when;
-  engine_->schedule_at(when, [to, frame]() { to->deliver(frame); });
   if (fault.duplicate) {
     // The copy trails the original by another latency sample (still FIFO).
     SimTime dup_when = when + params_.latency.sample(engine_->rng());
     dup_when = std::max(dup_when, last);
     last = dup_when;
+    engine_->schedule_at(when, [to, frame]() { to->deliver(frame); });
     engine_->schedule_at(dup_when, [to, frame = std::move(frame)]() {
       to->deliver(frame);
     });
+    return;
   }
+  engine_->schedule_at(when, [to, frame = std::move(frame)]() {
+    to->deliver(frame);
+  });
 }
 
 }  // namespace griphon::proto

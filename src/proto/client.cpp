@@ -11,23 +11,23 @@ RequestClient::RequestClient(sim::Engine* engine, Endpoint* endpoint,
   endpoint_->on_receive([this](const Bytes& bytes) { handle_frame(bytes); });
 }
 
-std::uint64_t RequestClient::request(Message message, ResponseCallback cb,
+std::uint64_t RequestClient::request(const Message& message,
+                                     ResponseCallback cb,
                                      std::uint64_t reuse_id) {
   const std::uint64_t id = (reuse_id != 0 && !pending_.contains(reuse_id))
                                ? reuse_id
                                : next_request_id_++;
-  Pending p;
-  p.frame = encode_frame(id, message);
-  p.cb = std::move(cb);
-  p.attempts_left = params_.max_attempts - 1;
-  pending_[id] = std::move(p);
-  endpoint_->send(pending_[id].frame);
-  arm_timer(id);
+  const auto slot = pending_.insert_or_assign(
+      id, Pending{encode_frame(id, message), std::move(cb),
+                  params_.max_attempts - 1, {}});
+  Pending& p = slot.first->second;
+  endpoint_->send(p.frame);
+  arm_timer(id, p);
   return id;
 }
 
-void RequestClient::arm_timer(std::uint64_t request_id) {
-  pending_[request_id].timer = engine_->schedule(
+void RequestClient::arm_timer(std::uint64_t request_id, Pending& p) {
+  p.timer = engine_->schedule(
       params_.timeout, [this, request_id]() { on_timeout(request_id); });
 }
 
@@ -39,7 +39,7 @@ void RequestClient::on_timeout(std::uint64_t request_id) {
     --p.attempts_left;
     ++retransmissions_;
     endpoint_->send(p.frame);
-    arm_timer(request_id);
+    arm_timer(request_id, p);
     return;
   }
   ++timeouts_;

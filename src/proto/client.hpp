@@ -41,7 +41,7 @@ class RequestClient {
   /// (the default) for a new id; a reuse_id that is still pending is
   /// ignored (a fresh id is allocated) rather than orphaning the earlier
   /// callback.
-  std::uint64_t request(Message message, ResponseCallback cb,
+  std::uint64_t request(const Message& message, ResponseCallback cb,
                         std::uint64_t reuse_id = 0);
 
   /// Handler for unsolicited frames (alarm events).
@@ -64,7 +64,7 @@ class RequestClient {
   };
 
   void handle_frame(const Bytes& bytes);
-  void arm_timer(std::uint64_t request_id);
+  void arm_timer(std::uint64_t request_id, Pending& p);
   void on_timeout(std::uint64_t request_id);
 
   sim::Engine* engine_;

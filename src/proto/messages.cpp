@@ -460,16 +460,20 @@ std::uint64_t element_key(const Message& m) {
 }
 
 Bytes encode_frame(std::uint64_t request_id, const Message& m) {
-  ByteWriter payload;
-  std::visit([&](const auto& msg) { encode(payload, msg); }, m);
-
+  // Header and payload go into one buffer; the payload length is patched
+  // in once the payload is written. 64 bytes hold every single command.
   ByteWriter frame;
+  frame.reserve(64);
   frame.u32(kMagic);
   frame.u16(kVersion);
   frame.u16(static_cast<std::uint16_t>(type_of(m)));
   frame.u64(request_id);
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.raw(payload.bytes());
+  const std::size_t length_at = frame.size();
+  frame.u32(0);
+  const std::size_t payload_at = frame.size();
+  std::visit([&](const auto& msg) { encode(frame, msg); }, m);
+  frame.patch_u32(length_at,
+                  static_cast<std::uint32_t>(frame.size() - payload_at));
   return frame.take();
 }
 

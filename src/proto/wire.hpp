@@ -45,6 +45,13 @@ class ByteWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
   void raw(const Bytes& b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
+  /// Overwrite the four bytes at `at` (already written) with `v`.
+  void patch_u32(std::size_t at, std::uint32_t v) {
+    for (int i = 3; i >= 0; --i, v >>= 8)
+      buf_.at(at + static_cast<std::size_t>(i)) =
+          static_cast<std::uint8_t>(v);
+  }
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   [[nodiscard]] const Bytes& bytes() const noexcept { return buf_; }
   [[nodiscard]] Bytes take() noexcept { return std::move(buf_); }

@@ -12,35 +12,86 @@ EventHandle Engine::schedule(SimTime delay, Callback fn) {
 EventHandle Engine::schedule_at(SimTime when, Callback fn) {
   assert(fn && "scheduling an empty callback");
   const auto seq = next_seq_++;
-  queue_.push(Event{std::max(when, now_), seq, std::move(fn)});
-  return EventHandle{seq};
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].fn = std::move(fn);
+  slots_[slot].seq = seq;
+  ++live_;
+  push_entry(Entry{std::max(when, now_), seq, slot});
+  return EventHandle{slot, seq};
 }
 
 void Engine::cancel(EventHandle handle) {
-  if (!handle.valid()) return;
-  cancelled_.push_back(handle.seq_);
-  ++cancelled_pending_;
+  if (!handle.valid() || handle.slot_ >= slots_.size() ||
+      slots_[handle.slot_].seq != handle.seq_)
+    return;  // already fired or cancelled
+  slots_[handle.slot_].fn = nullptr;
+  free_slot(handle.slot_);
+}
+
+void Engine::free_slot(std::uint32_t slot) {
+  slots_[slot].seq = 0;
+  free_slots_.push_back(slot);
+  --live_;
+}
+
+void Engine::push_entry(Entry entry) {
+  // Sift up from a hole at the new leaf.
+  std::size_t at = heap_.size();
+  heap_.push_back(entry);
+  while (at > 0) {
+    const std::size_t parent = (at - 1) / 2;
+    if (!earlier(entry, heap_[parent])) break;
+    heap_[at] = heap_[parent];
+    at = parent;
+  }
+  heap_[at] = entry;
+}
+
+void Engine::pop_head() {
+  // Sift the last entry down from a hole at the root.
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  std::size_t at = 0;
+  for (std::size_t child = 1; child < n; child = 2 * at + 1) {
+    if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
+    if (!earlier(heap_[child], last)) break;
+    heap_[at] = heap_[child];
+    at = child;
+  }
+  heap_[at] = last;
+}
+
+const Engine::Entry* Engine::live_head() {
+  while (!heap_.empty()) {
+    const Entry& head = heap_.front();
+    if (slots_[head.slot].seq == head.seq) return &head;
+    pop_head();
+  }
+  return nullptr;
 }
 
 bool Engine::pop_one() {
-  while (!queue_.empty()) {
-    // priority_queue has no non-const top-move; copy of the std::function is
-    // unavoidable without a custom heap, and event rates here are low.
-    Event ev = queue_.top();
-    queue_.pop();
-    const auto it =
-        std::find(cancelled_.begin(), cancelled_.end(), ev.seq);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      --cancelled_pending_;
-      continue;
-    }
-    now_ = ev.when;
-    ++fired_;
-    ev.fn();
-    return true;
-  }
-  return false;
+  const Entry* head = live_head();
+  if (head == nullptr) return false;
+  const Entry ev = *head;
+  pop_head();
+  // Free the slot before the call: the callback may schedule into it, and
+  // cancelling its own handle must be a no-op.
+  Callback fn = std::move(slots_[ev.slot].fn);
+  free_slot(ev.slot);
+  now_ = ev.when;
+  ++fired_;
+  fn();
+  return true;
 }
 
 std::size_t Engine::run() {
@@ -51,30 +102,18 @@ std::size_t Engine::run() {
 
 std::size_t Engine::run_until(SimTime deadline) {
   std::size_t n = 0;
-  while (!queue_.empty()) {
-    // Discard cancelled entries at the head first: the deadline check
-    // must see the next event that would actually fire, or a stale
-    // cancelled entry inside the horizon lets pop_one() fire a live
-    // event from far beyond it.
-    const auto it =
-        std::find(cancelled_.begin(), cancelled_.end(), queue_.top().seq);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      --cancelled_pending_;
-      queue_.pop();
-      continue;
-    }
-    if (queue_.top().when > deadline) break;
-    if (pop_one()) ++n;
+  // The deadline check must see the next event that would actually fire:
+  // a cancelled entry inside the horizon must not let a live event from
+  // beyond it through.
+  for (const Entry* head = live_head();
+       head != nullptr && head->when <= deadline; head = live_head()) {
+    pop_one();
+    ++n;
   }
   now_ = std::max(now_, deadline);
   return n;
 }
 
 bool Engine::step() { return pop_one(); }
-
-std::size_t Engine::pending() const noexcept {
-  return queue_.size() - cancelled_pending_;
-}
 
 }  // namespace griphon::sim

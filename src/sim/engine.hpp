@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -16,8 +15,9 @@
 
 namespace griphon::sim {
 
-/// Handle used to cancel a scheduled event. Cancellation is lazy: the slot
-/// stays in the queue but fires as a no-op.
+/// Handle used to cancel a scheduled event: the callback's slab slot plus
+/// the event's sequence number, which tells a live event from a later one
+/// that reuses the slot.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -26,7 +26,9 @@ class EventHandle {
 
  private:
   friend class Engine;
-  explicit EventHandle(std::uint64_t seq) : seq_(seq) {}
+  EventHandle(std::uint32_t slot, std::uint64_t seq)
+      : slot_(slot), seq_(seq) {}
+  std::uint32_t slot_ = 0;
   std::uint64_t seq_ = 0;
 };
 
@@ -54,7 +56,8 @@ class Engine {
   /// Schedule at an absolute simulated time (>= now).
   EventHandle schedule_at(SimTime when, Callback fn);
 
-  /// Cancel a pending event. No-op if it already fired or was cancelled.
+  /// Cancel a pending event and destroy its callback now. No-op if it
+  /// already fired or was cancelled.
   void cancel(EventHandle handle);
 
   /// Run until the queue is empty. Returns the number of events fired.
@@ -68,30 +71,42 @@ class Engine {
   /// Fire at most one event. Returns false when the queue is empty.
   bool step();
 
-  [[nodiscard]] std::size_t pending() const noexcept;
+  /// Events scheduled and neither fired nor cancelled.
+  [[nodiscard]] std::size_t pending() const noexcept { return live_; }
   [[nodiscard]] std::uint64_t fired() const noexcept { return fired_; }
 
  private:
-  struct Event {
+  // The heap orders plain entries; callbacks live in a slab indexed by
+  // `slot`. A slot whose seq differs from its entry's was cancelled (and
+  // maybe reused): the entry is skipped when it reaches the head.
+  struct Entry {
     SimTime when;
-    std::uint64_t seq;  // FIFO tie-break + cancellation key
-    Callback fn;
+    std::uint64_t seq;  // FIFO tie-break and liveness check
+    std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
+  static bool earlier(const Entry& a, const Entry& b) noexcept {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
+  struct Slot {
+    Callback fn;
+    std::uint64_t seq = 0;  // 0 = free
   };
 
+  /// The next live entry, after popping cancelled ones; null when none.
+  const Entry* live_head();
+  // Binary min-heap on (when, seq) over heap_.
+  void push_entry(Entry entry);
+  void pop_head();
+  void free_slot(std::uint32_t slot);
   bool pop_one();
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::vector<std::uint64_t> cancelled_;  // sorted insertion not needed; small
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   SimTime now_{};
   std::uint64_t next_seq_ = 1;
   std::uint64_t fired_ = 0;
-  std::size_t cancelled_pending_ = 0;
+  std::size_t live_ = 0;
   Rng rng_;
 };
 

@@ -6,8 +6,10 @@
 
 #include <optional>
 #include <variant>
+#include <vector>
 
 #include "core/scenario.hpp"
+#include "core/step_dag.hpp"
 #include "ems/ems_server.hpp"
 #include "live_index_oracle.hpp"
 #include "proto/messages.hpp"
@@ -550,6 +552,68 @@ TEST(Controller, RollbackRespectsReverseDependencies) {
     EXPECT_EQ(s.model->nte(s.site_i).ports_in_use(), 0u);
     EXPECT_EQ(s.model->roadm_at(s.topo.i).active_uses(), 0u);
   }
+}
+
+TEST(StepDag, MergesExplicitAndPerElementEdges) {
+  // Explicit deps with a duplicate, a self-edge and a forward edge, plus
+  // three steps on transponder 1 (implicit per-element chain 0 -> 2 -> 4).
+  using proto::Message;
+  using Ids = std::vector<std::size_t>;
+  StepList steps;
+  steps.push_back(Step{nullptr, Message{proto::OtTune{TransponderId{1}, 4}},
+                       Message{proto::OtSetState{
+                           TransponderId{1},
+                           proto::OtSetState::Action::kDeactivate}},
+                       {}});
+  steps.push_back(
+      Step{nullptr, Message{proto::RoadmAddDrop{RoadmId{1}, PortId{6}, 1, 4,
+                                                true}},
+           Message{proto::RoadmAddDrop{RoadmId{1}, PortId{6}, 1, 4, false}},
+           {0, 0}});
+  steps.push_back(Step{nullptr,
+                       Message{proto::OtSetState{
+                           TransponderId{1},
+                           proto::OtSetState::Action::kActivate}},
+                       std::nullopt,
+                       {2, 1}});
+  steps.push_back(
+      Step{nullptr, Message{proto::FxcConnect{FxcId{3}, PortId{1}, PortId{9}}},
+           Message{proto::FxcDisconnect{FxcId{3}, PortId{1}}},
+           {4, 1, 1}});
+  steps.push_back(Step{nullptr, Message{proto::OtTune{TransponderId{1}, 5}},
+                       Message{proto::OtTune{TransponderId{1}, 4}},
+                       {0}});
+  steps.push_back(Step{nullptr, Message{proto::PowerBalance{LinkId{2}, 4}},
+                       Message{proto::PowerBalance{LinkId{2}, 4}},
+                       {3}});
+
+  const StepDag dag(steps);
+  ASSERT_EQ(dag.size(), 6u);
+  EXPECT_EQ(dag.deps_of(0), Ids{});
+  EXPECT_EQ(dag.deps_of(1), (Ids{0}));
+  EXPECT_EQ(dag.deps_of(2), (Ids{0, 1}));
+  EXPECT_EQ(dag.deps_of(3), (Ids{1}));
+  EXPECT_EQ(dag.deps_of(4), (Ids{0, 2}));
+  EXPECT_EQ(dag.deps_of(5), (Ids{3}));
+  EXPECT_EQ(dag.dependents_of(0), (Ids{1, 2, 4}));
+  EXPECT_EQ(dag.dependents_of(1), (Ids{2, 3}));
+  EXPECT_EQ(dag.dependents_of(2), (Ids{4}));
+  EXPECT_EQ(dag.dependents_of(3), (Ids{5}));
+  EXPECT_EQ(dag.dependents_of(4), Ids{});
+  EXPECT_EQ(dag.dependents_of(5), Ids{});
+
+  // Step 5 never ran; step 2 ran but has no undo, so it passes its
+  // dependents' undos through to its own dependencies.
+  const StepList undo = build_undo_steps(steps, {4, 0, 3, 1, 2});
+  ASSERT_EQ(undo.size(), 4u);  // undos of 4, 3, 1, 0 in that order
+  EXPECT_TRUE(std::holds_alternative<proto::OtTune>(undo[0].forward));
+  EXPECT_TRUE(std::holds_alternative<proto::FxcDisconnect>(undo[1].forward));
+  EXPECT_TRUE(std::holds_alternative<proto::RoadmAddDrop>(undo[2].forward));
+  EXPECT_TRUE(std::holds_alternative<proto::OtSetState>(undo[3].forward));
+  EXPECT_EQ(undo[0].deps, Ids{});
+  EXPECT_EQ(undo[1].deps, Ids{});
+  EXPECT_EQ(undo[2].deps, (Ids{0, 1}));
+  EXPECT_EQ(undo[3].deps, (Ids{0, 2}));
 }
 
 TEST(Controller, StatsTrackOutcomes) {

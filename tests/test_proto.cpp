@@ -3,6 +3,10 @@
 // the retrying request client.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "proto/channel.hpp"
 #include "proto/client.hpp"
 #include "proto/messages.hpp"
@@ -117,6 +121,10 @@ std::vector<Message> message_corpus() {
   bare.type = AlarmType::kClear;
   bare.source = "roadm/3";
   out.push_back(AlarmEvent{bare});
+  EmsBatch batch;
+  batch.items.push_back(encode_frame(0, Message{PowerBalance{LinkId{12}, 7}}));
+  batch.items.push_back(encode_frame(0, Message{PowerBalance{LinkId{12}, 8}}));
+  out.push_back(batch);
   return out;
 }
 
@@ -161,10 +169,72 @@ TEST_P(FrameRoundTrip, EncodeDecodeIdentity) {
     EXPECT_EQ(d.message, m->message);
     EXPECT_EQ(d.aux, m->aux);
   }
+  if (const auto* m = std::get_if<EmsBatch>(&original)) {
+    const auto& d = std::get<EmsBatch>(frame.value().message);
+    EXPECT_EQ(d.items, m->items);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Corpus, FrameRoundTrip,
-                         ::testing::Range<std::size_t>(0, 16));
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, FrameRoundTrip,
+    ::testing::Range<std::size_t>(0, message_corpus().size()));
+
+std::string hex(const Bytes& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+// The wire bytes of every corpus frame under request id 991, pinned so a
+// change to the encoder cannot alter the format unnoticed (a round trip
+// alone would accept a symmetric change to encoder and decoder).
+const char* const kCorpusWire[] = {
+    "475250480001000100000000000003df0000000c000000000000000000000011",
+    "475250480001000100000000000003df0000001500040009706f727420627573"
+    "790000000000000000",
+    "475250480001000a00000000000003df00000018000000000000000300000000"
+    "000000010000000000000009",
+    "475250480001000b00000000000003df00000010000000000000000300000000"
+    "00000001",
+    "475250480001001400000000000003df0000001500000000000000020000000e"
+    "000000000000000201",
+    "475250480001001400000000000003df0000001500000000000000020000000e"
+    "000000000000000200",
+    "475250480001001500000000000003df00000019000000000000000100000000"
+    "00000006000000010000002101",
+    "475250480001001e00000000000003df0000000c000000000000000800000015",
+    "475250480001001f00000000000003df00000009000000000000000801",
+    "475250480001002000000000000003df00000011000000000000000400000005"
+    "0000000901",
+    "475250480001002800000000000003df0000000c000000000000000c00000007",
+    "475250480001003200000000000003df0000002a000000000000000002000000"
+    "00000000010000000000000003000000003b9aca0001ffffffffffffffff",
+    "475250480001003200000000000003df0000002a01ffffffffffffffffffffff"
+    "ffffffffffffffffffffffffff000000000000000000000000000000004d",
+    "475250480001003c00000000000003df0000000d000000000000000100000003"
+    "01",
+    "475250480001004600000000000003df00000043000000000000000500000000"
+    "000280de800007726f61646d2f32010000000000000002010000000000000004"
+    "010000000b000000000000000000000765787072657373",
+    "475250480001004600000000000003df0000003c000000000000000604000000"
+    "00000000000007726f61646d2f33000000000000000000000000000000000000"
+    "00000000000000000000000000000000",
+    "475250480001005000000000000003df0000004c000000020000002047525048"
+    "0001002800000000000000000000000c000000000000000c0000000700000020"
+    "475250480001002800000000000000000000000c000000000000000c00000008",
+};
+
+TEST(Frame, CorpusWireBytesArePinned) {
+  const std::vector<Message> corpus = message_corpus();
+  ASSERT_EQ(corpus.size(), std::size(kCorpusWire));
+  for (std::size_t i = 0; i < corpus.size(); ++i)
+    EXPECT_EQ(hex(encode_frame(991, corpus[i])), kCorpusWire[i])
+        << "corpus entry " << i;
+}
 
 TEST(Frame, RejectsBadMagic) {
   Bytes b = encode_frame(1, Message{PowerBalance{LinkId{1}, 2}});

@@ -76,8 +76,40 @@ TEST(Engine, CancelAfterFireIsNoop) {
   const auto h = e.schedule(seconds(1), []() {});
   e.run();
   e.cancel(h);  // must not crash or corrupt
+  EXPECT_EQ(e.pending(), 0u);
   e.schedule(seconds(1), []() {});
+  EXPECT_EQ(e.pending(), 1u);
   EXPECT_EQ(e.run(), 1u);
+  EXPECT_EQ(e.pending(), 0u);
+}
+
+TEST(Engine, DoubleCancelIsNoop) {
+  Engine e;
+  bool fired = false;
+  const auto h = e.schedule(seconds(1), []() {});
+  e.schedule(seconds(2), [&]() { fired = true; });
+  e.cancel(h);
+  e.cancel(h);
+  EXPECT_EQ(e.pending(), 1u);
+  EXPECT_EQ(e.run(), 1u);
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(e.pending(), 0u);
+}
+
+TEST(Engine, StaleHandleDoesNotCancelTheEventReusingItsSlot) {
+  Engine e;
+  int fired = 0;
+  const auto cancelled = e.schedule(seconds(1), []() {});
+  e.cancel(cancelled);
+  e.schedule(seconds(1), [&]() { ++fired; });  // takes the freed slot
+  e.cancel(cancelled);
+  const auto done = e.schedule(seconds(2), []() {});
+  e.run_until(seconds(2));
+  e.schedule(seconds(1), [&]() { ++fired; });  // takes the fired slot
+  e.cancel(done);
+  EXPECT_EQ(e.pending(), 1u);
+  e.run();
+  EXPECT_EQ(fired, 2);
 }
 
 TEST(Engine, PendingExcludesCancelled) {
