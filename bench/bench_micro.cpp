@@ -1,14 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the computational hot paths of
 // the GRIPhoN controller and its substrates: the simulation engine, path
-// computation, RWA planning and protocol codecs. These bound how fast a
-// production controller could make decisions, independent of EMS latency.
+// computation, RWA planning, protocol codecs and the EMS command round
+// trip. These bound how fast a production controller could make
+// decisions, independent of EMS latency.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/inventory.hpp"
 #include "core/network_model.hpp"
 #include "core/rwa.hpp"
+#include "dwdm/transponder.hpp"
+#include "ems/ems_server.hpp"
+#include "proto/client.hpp"
 #include "proto/messages.hpp"
 #include "sim/engine.hpp"
 #include "topology/builders.hpp"
@@ -54,6 +59,46 @@ void BM_EngineCommandPattern(benchmark::State& state) {
       state.iterations() * static_cast<std::int64_t>(kCommands));
 }
 BENCHMARK(BM_EngineCommandPattern);
+
+// One EMS command per item, end to end: RequestClient::request, the frame
+// over the control channel, the EMS's dedup/queue/dispatch bookkeeping,
+// the device operation, the cached response back over the channel and the
+// client callback. Commands rotate over 4,000 transponders on one EMS, so
+// the element table and the response cache are in steady state (the cache
+// full, every element seen) after the first batch.
+void BM_EmsCommandRoundTrip(benchmark::State& state) {
+  constexpr std::size_t kElements = 4000;
+  constexpr std::size_t kCommands = 1000;
+  sim::Engine engine{3};
+  proto::ControlChannel chan(&engine, proto::ControlChannel::Params{});
+  ems::EmsServer server(&engine, &chan.b(),
+                        ems::EmsLatencyProfile::fast_hardware(), "roadm-ems");
+  proto::RequestClient client(&engine, &chan.a(),
+                              proto::RequestClient::Params{});
+  std::vector<std::unique_ptr<dwdm::Transponder>> ots;
+  ots.reserve(kElements);
+  for (std::size_t i = 0; i < kElements; ++i) {
+    ots.push_back(std::make_unique<dwdm::Transponder>(
+        TransponderId{i}, NodeId{0}, rates::k10G));
+    server.manage_ot(ots.back().get());
+  }
+  std::size_t next = 0;
+  std::size_t ok = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kCommands; ++i, ++next) {
+      const proto::Message m = proto::OtTune{
+          TransponderId{next % kElements}, static_cast<std::int32_t>(next % 40)};
+      client.request(m, [&ok](Result<proto::Response> r) {
+        ok += r.ok() && r.value().ok();
+      });
+    }
+    engine.run();
+  }
+  benchmark::DoNotOptimize(ok);
+  state.SetItemsProcessed(
+      state.iterations() * static_cast<std::int64_t>(kCommands));
+}
+BENCHMARK(BM_EmsCommandRoundTrip);
 
 void BM_DijkstraBackbone(benchmark::State& state) {
   const auto g = topology::us_backbone();

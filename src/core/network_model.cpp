@@ -109,18 +109,16 @@ dwdm::Regenerator& NetworkModel::regen(RegenId id) {
 }
 
 PortId NetworkModel::roadm_port_of_ot(TransponderId id) const {
-  const auto it = ot_roadm_port_.find(id.value());
-  if (it == ot_roadm_port_.end())
+  if (id.value() >= ot_roadm_ports_.size())
     throw std::out_of_range("NetworkModel: OT has no ROADM port");
-  return it->second;
+  return ot_roadm_ports_[id.value()];
 }
 
 std::pair<PortId, PortId> NetworkModel::roadm_ports_of_regen(
     RegenId id) const {
-  const auto it = regen_roadm_ports_.find(id.value());
-  if (it == regen_roadm_ports_.end())
+  if (id.value() >= regen_roadm_ports_.size())
     throw std::out_of_range("NetworkModel: regen has no ROADM ports");
-  return it->second;
+  return regen_roadm_ports_[id.value()];
 }
 
 dwdm::Muxponder& NetworkModel::nte(MuxponderId id) {
@@ -147,7 +145,7 @@ TransponderId NetworkModel::add_transponder(NodeId node, DataRate line_rate) {
   // Static cabling: OT line side to a dedicated colorless ROADM port, OT
   // client side into the site FXC.
   const PortId roadm_port = roadm_at(node).add_ports(1).front();
-  ot_roadm_port_[id.value()] = roadm_port;
+  ot_roadm_ports_.push_back(roadm_port);
   fxc::Fxc& f = fxc_at(node);
   for (std::size_t p = 0; p < f.port_count(); ++p) {
     if (f.wiring(PortId{p}).kind == fxc::Wiring::Kind::kUnwired) {
@@ -169,7 +167,7 @@ RegenId NetworkModel::add_regen(NodeId node, DataRate line_rate) {
   });
   roadm_ems_->manage_regen(regens_.back().get());
   auto ports = roadm_at(node).add_ports(2);
-  regen_roadm_ports_[id.value()] = {ports[0], ports[1]};
+  regen_roadm_ports_.emplace_back(ports[0], ports[1]);
   return id;
 }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -227,8 +226,9 @@ class NetworkModel {
   std::vector<std::unique_ptr<dwdm::Transponder>> ots_;
   std::vector<std::unique_ptr<dwdm::Regenerator>> regens_;
   std::vector<std::unique_ptr<dwdm::Muxponder>> ntes_;
-  std::map<std::uint64_t, PortId> ot_roadm_port_;
-  std::map<std::uint64_t, std::pair<PortId, PortId>> regen_roadm_ports_;
+  /// Static ROADM cabling, indexed by the dense OT / regen id.
+  std::vector<PortId> ot_roadm_ports_;
+  std::vector<std::pair<PortId, PortId>> regen_roadm_ports_;
   std::unique_ptr<otn::OtnLayer> otn_;
   std::unique_ptr<otn::MeshRestorer> restorer_;
   std::vector<CustomerSite> sites_;

@@ -8,10 +8,15 @@ namespace griphon::ems {
 
 namespace {
 
-template <typename MapT>
-auto* find_device(MapT& map, std::uint64_t id) {
-  const auto it = map.find(id);
-  return it == map.end() ? nullptr : it->second;
+template <typename T>
+T* find_device(const FlatMap<T*>& map, std::uint64_t id) {
+  T* const* device = map.find(id);
+  return device == nullptr ? nullptr : *device;
+}
+
+template <typename T>
+void register_device(FlatMap<T*>& map, T* device) {
+  *map.try_emplace(device->id().value()).first = device;
 }
 
 }  // namespace
@@ -25,24 +30,24 @@ EmsServer::EmsServer(sim::Engine* engine, proto::Endpoint* endpoint,
 }
 
 void EmsServer::manage_fxc(fxc::Fxc* device) {
-  fxcs_[device->id().value()] = device;
+  register_device(fxcs_, device);
 }
 
 void EmsServer::manage_roadm(dwdm::Roadm* device) {
-  roadms_[device->id().value()] = device;
+  register_device(roadms_, device);
   device->set_alarm_sink([this](const Alarm& a) { forward_alarm(a); });
 }
 
 void EmsServer::manage_ot(dwdm::Transponder* device) {
-  ots_[device->id().value()] = device;
+  register_device(ots_, device);
 }
 
 void EmsServer::manage_regen(dwdm::Regenerator* device) {
-  regens_[device->id().value()] = device;
+  register_device(regens_, device);
 }
 
 void EmsServer::manage_nte(dwdm::Muxponder* device) {
-  ntes_[device->id().value()] = device;
+  register_device(ntes_, device);
 }
 
 void EmsServer::manage_otn(otn::OtnLayer* layer) { otn_ = layer; }
@@ -97,9 +102,11 @@ void EmsServer::crash_restart(SimTime restart_after) {
   down_ = true;
   ++crashes_;
   ++boot_epoch_;  // mid-dialogue completions from before the crash evaporate
-  queues_.clear();
-  busy_devices_.clear();
-  in_flight_requests_.clear();
+  element_index_.clear();
+  elements_.clear();
+  commands_.clear();
+  free_command_ = kNone;
+  queue_depth_ = 0;
   cache_flush();
   if (crashes_total_ != nullptr) crashes_total_->inc();
   if (telemetry_ != nullptr)
@@ -125,38 +132,96 @@ void EmsServer::set_response_cache_capacity(std::size_t capacity) {
   cache_trim();
 }
 
-std::optional<proto::Response> EmsServer::cache_lookup(std::uint64_t id) {
-  const auto it = response_cache_.find(id);
-  if (it == response_cache_.end()) return std::nullopt;
+const proto::Response* EmsServer::cache_lookup(std::uint64_t id) {
+  const std::uint32_t* n = cache_index_.find(id);
+  if (n == nullptr) return nullptr;
   // Refresh the entry's LRU recency — a retrying id is a hot id.
-  cache_lru_.splice(cache_lru_.end(), cache_lru_, it->second.second);
-  return it->second.first;
+  cache_unlink(*n);
+  cache_link_hottest(*n);
+  return &cache_nodes_[*n].response;
 }
 
-void EmsServer::cache_insert(std::uint64_t id, const proto::Response& r) {
-  cache_lru_.push_back(id);
-  response_cache_[id] = {r, std::prev(cache_lru_.end())};
-  cache_trim();
+void EmsServer::cache_insert(std::uint64_t id, proto::Response r) {
+  if (const std::uint32_t* hit = cache_index_.find(id)) {
+    cache_nodes_[*hit].response = std::move(r);
+    cache_unlink(*hit);
+    cache_link_hottest(*hit);
+    return;
+  }
+  if (cache_capacity_ == 0) {  // nothing is kept: the entry is evicted
+    ++cache_evictions_;
+    if (cache_evictions_total_ != nullptr) cache_evictions_total_->inc();
+    return;
+  }
+  std::uint32_t n = kNone;
+  if (cache_index_.size() >= cache_capacity_) {
+    n = cache_evict_coldest();
+  } else if (cache_free_ != kNone) {
+    n = cache_free_;
+    cache_free_ = cache_nodes_[n].next;
+  } else {
+    n = static_cast<std::uint32_t>(cache_nodes_.size());
+    cache_nodes_.emplace_back();
+  }
+  CacheNode& node = cache_nodes_[n];
+  node.id = id;
+  node.response = std::move(r);
+  cache_link_hottest(n);
+  cache_index_.try_emplace(id, n);
 }
 
 void EmsServer::cache_trim() {
-  while (response_cache_.size() > cache_capacity_) {
-    response_cache_.erase(cache_lru_.front());
-    cache_lru_.pop_front();
-    ++cache_evictions_;
-    if (cache_evictions_total_ != nullptr) cache_evictions_total_->inc();
+  while (cache_index_.size() > cache_capacity_) {
+    const std::uint32_t n = cache_evict_coldest();
+    cache_nodes_[n].next = cache_free_;
+    cache_free_ = n;
   }
 }
 
+std::uint32_t EmsServer::cache_evict_coldest() {
+  const std::uint32_t n = cache_coldest_;
+  cache_unlink(n);
+  cache_index_.erase(cache_nodes_[n].id);
+  ++cache_evictions_;
+  if (cache_evictions_total_ != nullptr) cache_evictions_total_->inc();
+  return n;
+}
+
+void EmsServer::cache_unlink(std::uint32_t n) {
+  CacheNode& node = cache_nodes_[n];
+  (node.prev == kNone ? cache_coldest_ : cache_nodes_[node.prev].next) =
+      node.next;
+  (node.next == kNone ? cache_hottest_ : cache_nodes_[node.next].prev) =
+      node.prev;
+  node.prev = node.next = kNone;
+}
+
+void EmsServer::cache_link_hottest(std::uint32_t n) {
+  CacheNode& node = cache_nodes_[n];
+  node.prev = cache_hottest_;
+  node.next = kNone;
+  (cache_hottest_ == kNone ? cache_coldest_ : cache_nodes_[cache_hottest_].next) =
+      n;
+  cache_hottest_ = n;
+}
+
 void EmsServer::cache_flush() {
-  response_cache_.clear();
-  cache_lru_.clear();
+  cache_index_.clear();
+  cache_nodes_.clear();
+  cache_coldest_ = cache_hottest_ = cache_free_ = kNone;
 }
 
 std::uint64_t EmsServer::device_key(const proto::Message& m) {
   // Shared with the controller's DAG executor, which pre-orders
   // same-element commands using the same key.
   return proto::element_key(m);
+}
+
+std::uint32_t EmsServer::element_for(std::uint64_t key) {
+  const auto [slot, added] = element_index_.try_emplace(
+      key, static_cast<std::uint32_t>(elements_.size()));
+  if (added) elements_.emplace_back();
+  return *slot;
 }
 
 void EmsServer::handle_frame(const proto::Bytes& bytes) {
@@ -170,7 +235,7 @@ void EmsServer::handle_frame(const proto::Bytes& bytes) {
   }
   const std::uint64_t id = frame.value().request_id;
   // Retransmission? Replay the cached response without re-executing.
-  if (const auto cached = cache_lookup(id)) {
+  if (const proto::Response* cached = cache_lookup(id)) {
     endpoint_->send(proto::encode_frame(id, proto::Message{*cached}));
     if (telemetry_ != nullptr)
       telemetry_->event(telemetry::Severity::kInfo, "ems", name_,
@@ -178,23 +243,43 @@ void EmsServer::handle_frame(const proto::Bytes& bytes) {
                             std::to_string(id));
     return;
   }
-  // Already queued or executing (retry raced the dialogue)? Drop it.
-  if (in_flight_requests_.contains(id)) return;
-  const std::uint64_t dev = device_key(frame.value().message);
-  for (const auto& q : queues_[dev])
-    if (q.request_id == id) return;
-  queues_[dev].push_back(
-      QueuedCommand{id, std::move(frame.value().message), engine_->now()});
-  pump(dev);
+  const std::uint32_t e = element_for(device_key(frame.value().message));
+  Element& element = elements_[e];
+  // Already executing or queued (retry raced the dialogue)? Drop it. A
+  // request id names one command, so only its own element can hold it.
+  if (element.busy && element.in_flight == id) return;
+  for (std::uint32_t n = element.head; n != kNone; n = commands_[n].next)
+    if (commands_[n].cmd.request_id == id) return;
+  std::uint32_t n = free_command_;
+  if (n != kNone) {
+    free_command_ = commands_[n].next;
+  } else {
+    n = static_cast<std::uint32_t>(commands_.size());
+    commands_.emplace_back();
+  }
+  CommandNode& node = commands_[n];
+  node.cmd.request_id = id;
+  node.cmd.message = std::move(frame.value().message);
+  node.cmd.enqueued_at = engine_->now();
+  node.next = kNone;
+  (element.tail == kNone ? element.head : commands_[element.tail].next) = n;
+  element.tail = n;
+  ++queue_depth_;
+  pump(e);
 }
 
-void EmsServer::pump(std::uint64_t device) {
-  auto& queue = queues_[device];
-  if (busy_devices_.contains(device) || queue.empty()) return;
-  busy_devices_.insert(device);
-  QueuedCommand cmd = std::move(queue.front());
-  queue.pop_front();
-  in_flight_requests_.insert(cmd.request_id);
+void EmsServer::pump(std::uint32_t e) {
+  Element& element = elements_[e];
+  if (element.busy || element.head == kNone) return;
+  const std::uint32_t n = element.head;
+  element.head = commands_[n].next;
+  if (element.head == kNone) element.tail = kNone;
+  QueuedCommand cmd = std::move(commands_[n].cmd);
+  commands_[n].next = free_command_;
+  free_command_ = n;
+  --queue_depth_;
+  element.busy = true;
+  element.in_flight = cmd.request_id;
   // Management-plane overhead, then the optical task, then the reply.
   SimTime overhead = profile_.command_overhead.sample(engine_->rng());
   SimTime task = task_latency(cmd.message);
@@ -212,13 +297,11 @@ void EmsServer::pump(std::uint64_t device) {
       if (telemetry_ != nullptr)
         telemetry_->event(telemetry::Severity::kWarn, "ems", name_,
                           "injected NACK: " + injected.error().message());
-      engine_->schedule(overhead, [this, id = cmd.request_id, device, epoch,
+      engine_->schedule(overhead, [this, id = cmd.request_id, e, epoch,
                                    injected]() {
         if (epoch != boot_epoch_) return;  // EMS crashed meanwhile
         respond(id, injected, 0);
-        busy_devices_.erase(device);
-        in_flight_requests_.erase(id);
-        pump(device);
+        dialogue_done(e);
       });
       return;
     }
@@ -227,14 +310,17 @@ void EmsServer::pump(std::uint64_t device) {
     queue_wait_seconds_->observe(to_seconds(engine_->now() - cmd.enqueued_at));
     task_seconds_->observe(to_seconds(overhead + task));
   }
-  engine_->schedule(overhead + task, [this, cmd = std::move(cmd), device,
-                                     epoch]() {
-    if (epoch != boot_epoch_) return;  // EMS crashed mid-dialogue
-    execute(cmd);
-    busy_devices_.erase(device);
-    in_flight_requests_.erase(cmd.request_id);
-    pump(device);
-  });
+  engine_->schedule(overhead + task,
+                    [this, cmd = std::move(cmd), e, epoch]() {
+                      if (epoch != boot_epoch_) return;  // crashed mid-dialogue
+                      execute(cmd);
+                      dialogue_done(e);
+                    });
+}
+
+void EmsServer::dialogue_done(std::uint32_t e) {
+  elements_[e].busy = false;
+  pump(e);
 }
 
 void EmsServer::execute(const QueuedCommand& cmd) {
@@ -435,8 +521,8 @@ void EmsServer::respond(std::uint64_t request_id, const Status& status,
                                                   : status.error().code());
   r.message = status.ok() ? std::string{} : status.error().message();
   r.aux = aux;
-  cache_insert(request_id, r);
   endpoint_->send(proto::encode_frame(request_id, proto::Message{r}));
+  cache_insert(request_id, std::move(r));
 }
 
 }  // namespace griphon::ems

@@ -14,15 +14,12 @@
 //    response cache instead of re-executing the operation.
 #pragma once
 
-#include <deque>
-#include <list>
-#include <set>
-#include <map>
-#include <optional>
+#include <cstdint>
 #include <string>
-#include <utility>
+#include <vector>
 
 #include "common/alarm.hpp"
+#include "common/flat_map.hpp"
 #include "dwdm/muxponder.hpp"
 #include "dwdm/roadm.hpp"
 #include "dwdm/transponder.hpp"
@@ -76,10 +73,9 @@ class EmsServer {
   [[nodiscard]] std::size_t commands_executed() const noexcept {
     return executed_;
   }
+  /// Commands waiting for their element dialogue (not yet dispatched).
   [[nodiscard]] std::size_t queue_depth() const noexcept {
-    std::size_t n = 0;
-    for (const auto& [dev, q] : queues_) n += q.size();
-    return n;
+    return queue_depth_;
   }
 
   /// Forward a device alarm to the controller (with notify latency).
@@ -104,7 +100,7 @@ class EmsServer {
   /// refresh recency). Capacity is tunable for tests.
   void set_response_cache_capacity(std::size_t capacity);
   [[nodiscard]] std::size_t response_cache_size() const noexcept {
-    return response_cache_.size();
+    return cache_index_.size();
   }
   [[nodiscard]] std::size_t cache_evictions() const noexcept {
     return cache_evictions_;
@@ -116,16 +112,43 @@ class EmsServer {
   void set_telemetry(telemetry::Telemetry* telemetry);
 
  private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
   struct QueuedCommand {
     std::uint64_t request_id = 0;
     proto::Message message;
     SimTime enqueued_at{};
   };
+  /// A waiting command, chained into its element's FIFO.
+  struct CommandNode {
+    QueuedCommand cmd;
+    std::uint32_t next = kNone;
+  };
+  /// One managed element's dialogue state: the FIFO of commands waiting
+  /// for it (a chain through commands_) and the request it is executing.
+  struct Element {
+    std::uint32_t head = kNone;
+    std::uint32_t tail = kNone;
+    bool busy = false;
+    std::uint64_t in_flight = 0;  ///< request id; meaningful while busy
+  };
+  /// One cached response, linked into the LRU list.
+  struct CacheNode {
+    std::uint64_t id = 0;
+    proto::Response response;
+    std::uint32_t prev = kNone;
+    std::uint32_t next = kNone;
+  };
 
   void handle_frame(const proto::Bytes& bytes);
   /// Dialogue key: which element a command talks to.
   [[nodiscard]] static std::uint64_t device_key(const proto::Message& m);
-  void pump(std::uint64_t device);
+  /// Index into elements_ of the element behind `key`, added on first use.
+  [[nodiscard]] std::uint32_t element_for(std::uint64_t key);
+  /// Start the head command of element `e` unless it is mid-dialogue.
+  void pump(std::uint32_t e);
+  /// Element `e`'s dialogue ended: start its next command.
+  void dialogue_done(std::uint32_t e);
   void execute(const QueuedCommand& cmd);
   /// Optical-task latency for this message type.
   [[nodiscard]] SimTime task_latency(const proto::Message& m);
@@ -134,37 +157,51 @@ class EmsServer {
   void respond(std::uint64_t request_id, const Status& status,
                std::uint64_t aux);
 
-  /// Cached response for a request id, refreshing its LRU recency.
-  [[nodiscard]] std::optional<proto::Response> cache_lookup(std::uint64_t id);
-  /// Insert a response, evicting least-recently-used ids past capacity.
-  void cache_insert(std::uint64_t id, const proto::Response& r);
+  /// Cached response for a request id (null on a miss), refreshing its
+  /// LRU recency.
+  [[nodiscard]] const proto::Response* cache_lookup(std::uint64_t id);
+  /// Insert a response, recycling the least-recently-used entry when the
+  /// cache is at capacity.
+  void cache_insert(std::uint64_t id, proto::Response r);
   /// Evict least-recently-used ids until the cache fits its capacity.
   void cache_trim();
   void cache_flush();
+  void cache_unlink(std::uint32_t n);
+  void cache_link_hottest(std::uint32_t n);
+  /// Unlink and unindex the coldest entry; returns its node.
+  std::uint32_t cache_evict_coldest();
 
   sim::Engine* engine_;
   proto::Endpoint* endpoint_;
   EmsLatencyProfile profile_;
   std::string name_;
 
-  std::map<std::uint64_t, fxc::Fxc*> fxcs_;
-  std::map<std::uint64_t, dwdm::Roadm*> roadms_;
-  std::map<std::uint64_t, dwdm::Transponder*> ots_;
-  std::map<std::uint64_t, dwdm::Regenerator*> regens_;
-  std::map<std::uint64_t, dwdm::Muxponder*> ntes_;
+  FlatMap<fxc::Fxc*> fxcs_;
+  FlatMap<dwdm::Roadm*> roadms_;
+  FlatMap<dwdm::Transponder*> ots_;
+  FlatMap<dwdm::Regenerator*> regens_;
+  FlatMap<dwdm::Muxponder*> ntes_;
   otn::OtnLayer* otn_ = nullptr;
 
   /// One dialogue at a time *per managed element*: commands to distinct
-  /// devices proceed concurrently, commands to one device queue up.
-  std::map<std::uint64_t, std::deque<QueuedCommand>> queues_;
-  std::set<std::uint64_t> busy_devices_;
-  std::set<std::uint64_t> in_flight_requests_;
-  /// Response cache: request id -> (response, position in the LRU list).
-  /// Bounded; least-recently-used id evicted past capacity.
-  std::map<std::uint64_t,
-           std::pair<proto::Response, std::list<std::uint64_t>::iterator>>
-      response_cache_;
-  std::list<std::uint64_t> cache_lru_;  // front=coldest
+  /// devices proceed concurrently, commands to one device queue up. The
+  /// element table is a hash index (element key -> slot) over a dense
+  /// vector, so a dialogue completion addresses its element by slot.
+  FlatMap<std::uint32_t> element_index_;
+  std::vector<Element> elements_;
+  /// Slab of queued commands; freed nodes chain through `next`.
+  std::vector<CommandNode> commands_;
+  std::uint32_t free_command_ = kNone;
+  std::size_t queue_depth_ = 0;
+
+  /// Response cache: request id -> node of a slab of at most `capacity`
+  /// nodes, doubly linked in LRU order (head = coldest). A full cache
+  /// recycles its coldest node for the next response.
+  FlatMap<std::uint32_t> cache_index_;
+  std::vector<CacheNode> cache_nodes_;
+  std::uint32_t cache_coldest_ = kNone;
+  std::uint32_t cache_hottest_ = kNone;
+  std::uint32_t cache_free_ = kNone;
   std::size_t cache_capacity_ = 256;
   std::size_t cache_evictions_ = 0;
   std::size_t executed_ = 0;

@@ -17,10 +17,9 @@ std::uint64_t RequestClient::request(const Message& message,
   const std::uint64_t id = (reuse_id != 0 && !pending_.contains(reuse_id))
                                ? reuse_id
                                : next_request_id_++;
-  const auto slot = pending_.insert_or_assign(
-      id, Pending{encode_frame(id, message), std::move(cb),
-                  params_.max_attempts - 1, {}});
-  Pending& p = slot.first->second;
+  Pending& p = *pending_.try_emplace(id).first;
+  p = Pending{encode_frame(id, message), std::move(cb),
+              params_.max_attempts - 1, {}};
   endpoint_->send(p.frame);
   arm_timer(id, p);
   return id;
@@ -32,9 +31,9 @@ void RequestClient::arm_timer(std::uint64_t request_id, Pending& p) {
 }
 
 void RequestClient::on_timeout(std::uint64_t request_id) {
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;  // response raced the timer
-  Pending& p = it->second;
+  Pending* const found = pending_.find(request_id);
+  if (found == nullptr) return;  // response raced the timer
+  Pending& p = *found;
   if (p.attempts_left > 0) {
     --p.attempts_left;
     ++retransmissions_;
@@ -44,21 +43,21 @@ void RequestClient::on_timeout(std::uint64_t request_id) {
   }
   ++timeouts_;
   ResponseCallback cb = std::move(p.cb);
-  pending_.erase(it);
+  pending_.erase(request_id);
   cb(Error{ErrorCode::kTimeout, "proto: request timed out after retries"});
 }
 
 void RequestClient::handle_frame(const Bytes& bytes) {
   auto frame = decode_frame(bytes);
   if (!frame.ok()) return;  // corrupt frame: ignore, retry will recover
-  if (const auto* resp = std::get_if<Response>(&frame.value().message)) {
-    const auto it = pending_.find(frame.value().request_id);
-    if (it == pending_.end()) return;  // duplicate response after retry
-    engine_->cancel(it->second.timer);
-    ResponseCallback cb = std::move(it->second.cb);
-    const Response r = *resp;
-    pending_.erase(it);
-    cb(r);
+  if (auto* resp = std::get_if<Response>(&frame.value().message)) {
+    const std::uint64_t id = frame.value().request_id;
+    Pending* const p = pending_.find(id);
+    if (p == nullptr) return;  // duplicate response after retry
+    engine_->cancel(p->timer);
+    ResponseCallback cb = std::move(p->cb);
+    pending_.erase(id);
+    cb(std::move(*resp));
     return;
   }
   if (event_handler_) event_handler_(frame.value());

@@ -8,8 +8,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 
+#include "common/flat_map.hpp"
 #include "common/result.hpp"
 #include "proto/channel.hpp"
 #include "proto/messages.hpp"
@@ -71,7 +71,7 @@ class RequestClient {
   Endpoint* endpoint_;
   Params params_;
   EventHandler event_handler_;
-  std::map<std::uint64_t, Pending> pending_;
+  FlatMap<Pending> pending_;
   std::uint64_t next_request_id_ = 1;
   std::size_t retransmissions_ = 0;
   std::size_t timeouts_ = 0;

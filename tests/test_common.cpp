@@ -2,9 +2,12 @@
 // models.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 #include <unordered_set>
 
+#include "common/flat_map.hpp"
 #include "common/ids.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
@@ -226,6 +229,60 @@ TEST_P(LatencyMeanSweep, EmpiricalMeanTracksConfiguredMean) {
 
 INSTANTIATE_TEST_SUITE_P(Means, LatencyMeanSweep,
                          ::testing::Values(100, 800, 1600, 9000, 12000));
+
+// --- FlatMap ------------------------------------------------------------------
+
+TEST(FlatMap, InsertFindEraseClear) {
+  FlatMap<std::string> m;
+  EXPECT_EQ(m.size(), 0u);
+  EXPECT_EQ(m.find(7), nullptr);
+  EXPECT_FALSE(m.erase(7));
+  const auto [v, added] = m.try_emplace(7, "seven");
+  EXPECT_TRUE(added);
+  EXPECT_EQ(*v, "seven");
+  const auto [again, added_again] = m.try_emplace(7, "other");
+  EXPECT_FALSE(added_again);
+  EXPECT_EQ(*again, "seven");
+  m.try_emplace(0, "zero");  // key 0 is an ordinary key
+  ASSERT_NE(m.find(0), nullptr);
+  EXPECT_EQ(*m.find(0), "zero");
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_TRUE(m.erase(7));
+  EXPECT_FALSE(m.contains(7));
+  EXPECT_TRUE(m.contains(0));
+  m.clear();
+  EXPECT_EQ(m.size(), 0u);
+  EXPECT_FALSE(m.contains(0));
+}
+
+TEST(FlatMap, MatchesOrderedMapUnderRandomChurn) {
+  // Keys from a small range collide and form long probe runs, so erases
+  // exercise the backward shift across wrap-around.
+  FlatMap<std::uint64_t> m;
+  std::map<std::uint64_t, std::uint64_t> oracle;
+  Rng rng(99);
+  for (int step = 0; step < 20000; ++step) {
+    const auto key = static_cast<std::uint64_t>(rng.uniform(0.0, 300.0));
+    if (rng.chance(0.55)) {
+      const std::uint64_t value = key * 3 + 1;
+      const bool added = m.try_emplace(key, value).second;
+      EXPECT_EQ(added, oracle.emplace(key, value).second);
+    } else {
+      EXPECT_EQ(m.erase(key), oracle.erase(key) == 1);
+    }
+    ASSERT_EQ(m.size(), oracle.size());
+    if (step % 97 == 0) {
+      for (std::uint64_t k = 0; k < 300; ++k) {
+        const std::uint64_t* got = m.find(k);
+        const auto it = oracle.find(k);
+        ASSERT_EQ(got != nullptr, it != oracle.end()) << "key " << k;
+        if (got != nullptr) {
+          EXPECT_EQ(*got, it->second);
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace griphon

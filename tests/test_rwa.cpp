@@ -2,6 +2,10 @@
 // wavelength assignment engine.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+#include <utility>
+
 #include "core/inventory.hpp"
 #include "core/network_model.hpp"
 #include "core/rwa.hpp"
@@ -48,6 +52,26 @@ TEST_F(RwaFixture, DeviceStateReducesAvailability) {
   const auto avail = inventory.snapshot()->available_on_link(topo.i_iv);
   EXPECT_EQ(avail.size(), 7u);
   EXPECT_FALSE(avail.contains(3));
+}
+
+TEST_F(RwaFixture, RoadmPortsOfDevicesAreDistinctAndUnknownIdsThrow) {
+  // Every OT and regen is cabled to its own ports on its site's ROADM.
+  std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
+  for (const auto& ot : model.ots()) {
+    const PortId p = model.roadm_port_of_ot(ot->id());
+    EXPECT_LT(p.value(), model.roadm_at(ot->site()).port_count());
+    EXPECT_TRUE(seen.insert({ot->site().value(), p.value()}).second);
+  }
+  for (const auto& regen : model.regens()) {
+    const auto [a, b] = model.roadm_ports_of_regen(regen->id());
+    EXPECT_TRUE(seen.insert({regen->site().value(), a.value()}).second);
+    EXPECT_TRUE(seen.insert({regen->site().value(), b.value()}).second);
+  }
+  EXPECT_THROW((void)model.roadm_port_of_ot(TransponderId{model.ots().size()}),
+               std::out_of_range);
+  EXPECT_THROW(
+      (void)model.roadm_ports_of_regen(RegenId{model.regens().size()}),
+      std::out_of_range);
 }
 
 TEST_F(RwaFixture, ReservationsReduceAvailability) {
