@@ -21,52 +21,34 @@ Status response_to_status(const Result<proto::Response>& r) {
   return Status{static_cast<ErrorCode>(r.value().code), r.value().message};
 }
 
-/// Telemetry span name + actor for one EMS command.
-struct SpanLabel {
-  const char* name;
-  const char* actor;
-};
-
-SpanLabel span_label(const proto::Message& m) {
+/// Telemetry span name of one EMS command; its actor is the EMS domain of
+/// the client the command goes to.
+const char* command_name(const proto::Message& m) {
   struct Visitor {
-    SpanLabel operator()(const proto::FxcConnect&) {
-      return {"fxc.xconnect", "fxc-ems"};
+    const char* operator()(const proto::FxcConnect&) { return "fxc.xconnect"; }
+    const char* operator()(const proto::FxcDisconnect&) {
+      return "fxc.disconnect";
     }
-    SpanLabel operator()(const proto::FxcDisconnect&) {
-      return {"fxc.disconnect", "fxc-ems"};
+    const char* operator()(const proto::RoadmExpress&) {
+      return "roadm.express";
     }
-    SpanLabel operator()(const proto::RoadmExpress&) {
-      return {"roadm.express", "roadm-ems"};
+    const char* operator()(const proto::RoadmAddDrop&) {
+      return "roadm.add_drop";
     }
-    SpanLabel operator()(const proto::RoadmAddDrop&) {
-      return {"roadm.add_drop", "roadm-ems"};
+    const char* operator()(const proto::OtTune&) { return "ot.tune"; }
+    const char* operator()(const proto::OtSetState&) { return "ot.set_state"; }
+    const char* operator()(const proto::RegenEngage&) {
+      return "regen.engage";
     }
-    SpanLabel operator()(const proto::OtTune&) {
-      return {"ot.tune", "roadm-ems"};
+    const char* operator()(const proto::PowerBalance&) {
+      return "power.balance";
     }
-    SpanLabel operator()(const proto::OtSetState&) {
-      return {"ot.set_state", "roadm-ems"};
-    }
-    SpanLabel operator()(const proto::RegenEngage&) {
-      return {"regen.engage", "roadm-ems"};
-    }
-    SpanLabel operator()(const proto::PowerBalance&) {
-      return {"power.balance", "roadm-ems"};
-    }
-    SpanLabel operator()(const proto::OtnOp&) { return {"otn.op", "otn-ems"}; }
-    SpanLabel operator()(const proto::NtePort&) {
-      return {"nte.port", "nte-ems"};
-    }
-    SpanLabel operator()(const proto::Response&) {
-      return {"ems.command", "ems"};
-    }
-    SpanLabel operator()(const proto::AlarmEvent&) {
-      return {"ems.command", "ems"};
-    }
-    SpanLabel operator()(const proto::EmsBatch&) {
-      // Only stateless power balancing is coalesced today (see
-      // proto::EmsBatch); label the dialogue accordingly.
-      return {"power.balance.batch", "roadm-ems"};
+    const char* operator()(const proto::OtnOp&) { return "otn.op"; }
+    const char* operator()(const proto::NtePort&) { return "nte.port"; }
+    const char* operator()(const proto::Response&) { return "ems.command"; }
+    const char* operator()(const proto::AlarmEvent&) { return "ems.command"; }
+    const char* operator()(const proto::EmsBatch&) {
+      return "power.balance.batch";
     }
   };
   return std::visit(Visitor{}, m);
@@ -154,10 +136,10 @@ GriphonController::GriphonController(NetworkModel* model, Params params)
       failures_(&model->engine(), params.failure),
       ems_health_(&model->engine(), params.ems_health) {
   client_domains_ = {
-      {&model_->roadm_ems_client(), "roadm-ems"},
-      {&model_->fxc_ems_client(), "fxc-ems"},
-      {&model_->otn_ems_client(), "otn-ems"},
-      {&model_->nte_ems_client(), "nte-ems"},
+      {&model_->roadm_ems_client(), model_->roadm_ems().name()},
+      {&model_->fxc_ems_client(), model_->fxc_ems().name()},
+      {&model_->otn_ems_client(), model_->otn_ems().name()},
+      {&model_->nte_ems_client(), model_->nte_ems().name()},
   };
   // O(1) snapshot free-bitmap maintenance off device lifecycle
   // transitions (DESIGN.md §15) — no pool re-scan on the plan hot path.
@@ -370,8 +352,7 @@ void GriphonController::issue_command(
           // id too, so a retryable NACK must go out under a fresh id.
           const std::uint64_t reuse = transport_timeout ? *sent_id : 0;
           if (telemetry::Telemetry* t = model_->telemetry())
-            t->event(telemetry::Severity::kWarn, "retry",
-                     domain_of(client) + "-ems",
+            t->event(telemetry::Severity::kWarn, "retry", domain_of(client),
                      "command retry, attempt " + std::to_string(attempt) +
                          ": " + s.error().message());
           model_->engine().schedule(
@@ -428,7 +409,7 @@ void GriphonController::run_steps(std::shared_ptr<StepList> steps,
   state->report.steps.resize(list.size());
   for (std::size_t i = 0; i < list.size(); ++i) {
     DagStepRecord& rec = state->report.steps[i];
-    rec.name = span_label(list[i].forward).name;
+    rec.name = command_name(list[i].forward);
     rec.domain = state->domains[i];
     rec.deps = state->dag->deps_of(i);
   }
@@ -461,18 +442,16 @@ void GriphonController::pump_dag(const std::shared_ptr<RunState>& state) {
       proto::EmsBatch batch;
       for (const std::size_t j : members)
         batch.items.push_back(
-            proto::encode_frame(0, (*state->steps)[j].forward));
+            std::get<proto::PowerBalance>((*state->steps)[j].forward));
       message = proto::Message{std::move(batch)};
     }
 
     stats_.commands_issued += members.size();
     std::uint64_t span = 0;
-    if (state->parent_span != 0) {
-      if (telemetry::Telemetry* t = model_->telemetry()) {
-        const SpanLabel label = span_label(message);
-        span = t->span_start(label.name, label.actor, 0, state->parent_span);
-      }
-    }
+    if (state->parent_span != 0)
+      if (telemetry::Telemetry* t = model_->telemetry())
+        span = t->span_start(command_name(message), state->domains[i], 0,
+                             state->parent_span);
     const double start_s =
         to_seconds(model_->engine().now() - state->run_start);
     for (const std::size_t j : members) {
@@ -583,51 +562,55 @@ Status GriphonController::admit_optical_plan(const WavelengthPlan& plan,
 // Step construction
 // --------------------------------------------------------------------------
 
-StepList GriphonController::build_access_setup(
-    const Connection& c, const WavelengthPlan& plan) const {
+StepList GriphonController::build_access_setup(const Connection& c) const {
   StepList steps;
   auto* nte_client = &model_->nte_ems_client();
   auto* fxc_client = &model_->fxc_ems_client();
 
   // Customer NTE client ports at both premises.
-  steps.push_back(Step{
-      nte_client,
-      proto::NtePort{c.src_site, static_cast<std::uint32_t>(c.src_nte_port),
-                     true},
-      proto::Message{proto::NtePort{
-          c.src_site, static_cast<std::uint32_t>(c.src_nte_port), false}}});
-  steps.push_back(Step{
-      nte_client,
-      proto::NtePort{c.dst_site, static_cast<std::uint32_t>(c.dst_nte_port),
-                     true},
-      proto::Message{proto::NtePort{
-          c.dst_site, static_cast<std::uint32_t>(c.dst_nte_port), false}}});
+  auto nte_port = [&](MuxponderId site, std::size_t port) {
+    const auto p = static_cast<std::uint32_t>(port);
+    steps.push_back(Step{nte_client, proto::NtePort{site, p, true},
+                         proto::Message{proto::NtePort{site, p, false}}});
+  };
+  nte_port(c.src_site, c.src_nte_port);
+  nte_port(c.dst_site, c.dst_nte_port);
 
-  // FXC: steer the access channel to the chosen OT's client port. The NTE
-  // port must be up before the cross-connect that steers it.
-  auto fxc_steps = [&](NodeId pop, MuxponderId site, std::size_t nte_port,
-                       TransponderId ot, std::size_t nte_step) {
+  // FXC: steer each access channel onto the service — the chosen OT's
+  // client port for a wavelength, the OTN switch client port of the ODU
+  // circuit otherwise. The NTE port must be up before the cross-connect
+  // that steers it.
+  const otn::OduCircuit* circuit =
+      c.kind == ConnectionKind::kWavelength ? nullptr
+                                            : &model_->otn().circuit(c.odu);
+  auto steer = [&](NodeId pop, MuxponderId site, std::size_t nte_port,
+                   TransponderId ot, std::size_t otn_port,
+                   std::size_t nte_step) {
     fxc::Fxc& f = model_->fxc_at(pop);
     const auto access = f.port_for(fxc::Wiring::Kind::kCustomerAccess,
                                    site.value(), nte_port);
-    const auto otp = f.port_for(fxc::Wiring::Kind::kTransponderClient,
-                                ot.value(), 0);
-    assert(access && otp && "FXC wiring missing");
+    const auto target =
+        circuit == nullptr
+            ? f.port_for(fxc::Wiring::Kind::kTransponderClient, ot.value(), 0)
+            : f.port_for(fxc::Wiring::Kind::kOtnClientPort,
+                         model_->otn().switch_at(pop)->id().value(),
+                         otn_port);
+    assert(access && target && "FXC wiring missing");
     steps.push_back(
-        Step{fxc_client, proto::FxcConnect{f.id(), *access, *otp},
+        Step{fxc_client, proto::FxcConnect{f.id(), *access, *target},
              proto::Message{proto::FxcDisconnect{f.id(), *access}},
              {nte_step}});
   };
-  fxc_steps(c.src_pop, c.src_site, c.src_nte_port, plan.src_ot, 0);
-  fxc_steps(c.dst_pop, c.dst_site, c.dst_nte_port, plan.dst_ot, 1);
+  steer(c.src_pop, c.src_site, c.src_nte_port, c.plan.src_ot,
+        circuit == nullptr ? 0 : circuit->src_port, 0);
+  steer(c.dst_pop, c.dst_site, c.dst_nte_port, c.plan.dst_ot,
+        circuit == nullptr ? 0 : circuit->dst_port, 1);
   return steps;
 }
 
 StepList GriphonController::build_wavelength_setup(
-    const Connection& c, const WavelengthPlan& plan,
-    bool include_access) const {
+    const WavelengthPlan& plan) const {
   StepList steps;
-  if (include_access) steps = build_access_setup(c, plan);
   auto* roadm = &model_->roadm_ems_client();
   const auto& path = plan.path;
 
@@ -774,8 +757,7 @@ StepList GriphonController::build_wavelength_setup(
 }
 
 StepList GriphonController::build_wavelength_teardown(
-    const Connection& c, const WavelengthPlan& plan,
-    bool include_access) const {
+    const WavelengthPlan& plan) const {
   StepList steps;
   auto* roadm = &model_->roadm_ems_client();
   const auto& path = plan.path;
@@ -840,35 +822,52 @@ StepList GriphonController::build_wavelength_teardown(
                           0, 0, false},
       std::nullopt, {deact_dst}});
 
-  if (include_access) {
-    auto* fxc_client = &model_->fxc_ems_client();
-    auto* nte_client = &model_->nte_ems_client();
-    // The cross-connect unwinds after its side went dark; the NTE port
-    // disables only after the cross-connect that steered it is gone.
-    auto fxc_step = [&](NodeId pop, MuxponderId site, std::size_t nte_port,
-                        std::size_t deact_step) {
-      fxc::Fxc& f = model_->fxc_at(pop);
-      const auto access = f.port_for(fxc::Wiring::Kind::kCustomerAccess,
-                                     site.value(), nte_port);
-      assert(access);
-      steps.push_back(Step{fxc_client,
-                           proto::FxcDisconnect{f.id(), *access},
-                           std::nullopt, {deact_step}});
-    };
-    const std::size_t fxc_src = steps.size();
-    fxc_step(c.src_pop, c.src_site, c.src_nte_port, deact_src);
-    const std::size_t fxc_dst = steps.size();
-    fxc_step(c.dst_pop, c.dst_site, c.dst_nte_port, deact_dst);
+  return steps;
+}
+
+StepList GriphonController::build_release(const Connection& c) const {
+  const bool wavelength = c.kind == ConnectionKind::kWavelength;
+  StepList steps;
+  if (wavelength) steps = build_wavelength_teardown(c.plan);
+  // Access: each cross-connect, then the NTE port it steered. On a
+  // wavelength the cross-connect unwinds after its side went dark (the
+  // teardown's first two steps deactivate the OTs) and the NTE port only
+  // after the cross-connect is gone; a sub-wavelength release runs them
+  // unordered.
+  auto* fxc_client = &model_->fxc_ems_client();
+  auto* nte_client = &model_->nte_ems_client();
+  auto after = [&](std::size_t step) {
+    return wavelength ? std::vector<std::size_t>{step}
+                      : std::vector<std::size_t>{};
+  };
+  auto unsteer = [&](NodeId pop, MuxponderId site, std::size_t nte_port,
+                     std::size_t dark_step) {
+    fxc::Fxc& f = model_->fxc_at(pop);
+    const auto access = f.port_for(fxc::Wiring::Kind::kCustomerAccess,
+                                   site.value(), nte_port);
+    assert(access);
+    steps.push_back(Step{fxc_client, proto::FxcDisconnect{f.id(), *access},
+                         std::nullopt, after(dark_step)});
+  };
+  const std::size_t fxc_src = steps.size();
+  unsteer(c.src_pop, c.src_site, c.src_nte_port, 0);
+  const std::size_t fxc_dst = steps.size();
+  unsteer(c.dst_pop, c.dst_site, c.dst_nte_port, 1);
+  auto nte_off = [&](MuxponderId site, std::size_t port, std::size_t fxc_step) {
     steps.push_back(
         Step{nte_client,
-             proto::NtePort{c.src_site,
-                            static_cast<std::uint32_t>(c.src_nte_port), false},
-             std::nullopt, {fxc_src}});
-    steps.push_back(
-        Step{nte_client,
-             proto::NtePort{c.dst_site,
-                            static_cast<std::uint32_t>(c.dst_nte_port), false},
-             std::nullopt, {fxc_dst}});
+             proto::NtePort{site, static_cast<std::uint32_t>(port), false},
+             std::nullopt, after(fxc_step)});
+  };
+  nte_off(c.src_site, c.src_nte_port, fxc_src);
+  nte_off(c.dst_site, c.dst_nte_port, fxc_dst);
+  if (!wavelength) {
+    proto::OtnOp release;
+    release.op = proto::OtnOp::Op::kRelease;
+    release.circuit = c.odu;
+    steps.push_back(Step{&model_->otn_ems_client(), release, std::nullopt});
+  } else if (c.standby) {
+    append_steps(steps, build_wavelength_teardown(*c.standby));
   }
   return steps;
 }
@@ -1073,8 +1072,8 @@ void GriphonController::setup_wavelength(ConnectionId id, SetupCallback cb) {
       return;
     }
     reserve_plan(c->plan);
-    auto steps = std::make_shared<StepList>(
-        build_wavelength_setup(*c, c->plan, /*include_access=*/true));
+    auto steps = std::make_shared<StepList>(build_access_setup(*c));
+    append_steps(*steps, build_wavelength_setup(c->plan));
     const std::uint64_t setup_span = c->setup_span;
     run_steps(steps, /*best_effort=*/false,
               [this, id, steps, cb = std::move(cb)](
@@ -1110,8 +1109,8 @@ void GriphonController::setup_wavelength(ConnectionId id, SetupCallback cb) {
                         standby.value(), c->rate, c->setup_span);
                   if (!standby_status.ok()) {
                     // No disjoint admissible capacity: fail the request.
-                    auto teardown = std::make_shared<StepList>(
-                        build_wavelength_teardown(*c, c->plan, true));
+                    auto teardown =
+                        std::make_shared<StepList>(build_release(*c));
                     run_steps(teardown, true,
                               [this, id, err = standby_status.error(),
                                cb = std::move(cb)](
@@ -1123,8 +1122,7 @@ void GriphonController::setup_wavelength(ConnectionId id, SetupCallback cb) {
                   c->standby = std::move(standby).value();
                   reserve_plan(*c->standby);
                   auto steps2 = std::make_shared<StepList>(
-                      build_wavelength_setup(*c, *c->standby,
-                                             /*include_access=*/false));
+                      build_wavelength_setup(*c->standby));
                   run_steps(steps2, false,
                             [this, id, steps2, cb = std::move(cb)](
                                 Status s2,
@@ -1141,8 +1139,7 @@ void GriphonController::setup_wavelength(ConnectionId id, SetupCallback cb) {
                                       c->standby.reset();
                                       auto teardown =
                                           std::make_shared<StepList>(
-                                              build_wavelength_teardown(
-                                                  *c, c->plan, true));
+                                              build_release(*c));
                                       run_steps(
                                           teardown, true,
                                           [this, id, s2, cb = std::move(cb)](
@@ -1189,7 +1186,8 @@ void GriphonController::send_otn_create(ConnectionId id, SetupCallback cb,
   ++stats_.commands_issued;
   std::uint64_t span = 0;
   if (telemetry::Telemetry* t = model_->telemetry())
-    span = t->span_start("otn.op", "otn-ems", 0, c0->setup_span);
+    span = t->span_start("otn.op", domain_of(&model_->otn_ems_client()), 0,
+                         c0->setup_span);
   issue_command(
       &model_->otn_ems_client(), proto::Message{create},
       [this, id, allow_groom, span,
@@ -1235,44 +1233,9 @@ void GriphonController::setup_subwavelength_access(ConnectionId id,
                                                    SetupCallback cb) {
   Connection* c = find_conn(id);
   if (c == nullptr) return;
-  const auto& circuit = model_->otn().circuit(c->odu);
-
   // Phase 2: access plumbing — NTE ports + FXC steering of the access
   // channels onto the OTN switch client ports.
-  auto steps = std::make_shared<StepList>();
-  auto* nte_client = &model_->nte_ems_client();
-  auto* fxc_client = &model_->fxc_ems_client();
-  steps->push_back(
-      Step{nte_client,
-           proto::NtePort{c->src_site,
-                          static_cast<std::uint32_t>(c->src_nte_port), true},
-           proto::Message{proto::NtePort{
-               c->src_site, static_cast<std::uint32_t>(c->src_nte_port),
-               false}}});
-  steps->push_back(
-      Step{nte_client,
-           proto::NtePort{c->dst_site,
-                          static_cast<std::uint32_t>(c->dst_nte_port), true},
-           proto::Message{proto::NtePort{
-               c->dst_site, static_cast<std::uint32_t>(c->dst_nte_port),
-               false}}});
-  auto fxc_step = [&](NodeId pop, MuxponderId site, std::size_t nte_port,
-                      std::size_t otn_port, std::size_t nte_step) {
-    fxc::Fxc& f = model_->fxc_at(pop);
-    const auto access = f.port_for(fxc::Wiring::Kind::kCustomerAccess,
-                                   site.value(), nte_port);
-    const auto sw = model_->otn().switch_at(pop);
-    const auto otnp = f.port_for(fxc::Wiring::Kind::kOtnClientPort,
-                                 sw->id().value(), otn_port);
-    assert(access && otnp && "FXC wiring for OTN missing");
-    steps->push_back(
-        Step{fxc_client, proto::FxcConnect{f.id(), *access, *otnp},
-             proto::Message{proto::FxcDisconnect{f.id(), *access}},
-             {nte_step}});
-  };
-  fxc_step(c->src_pop, c->src_site, c->src_nte_port, circuit.src_port, 0);
-  fxc_step(c->dst_pop, c->dst_site, c->dst_nte_port, circuit.dst_port, 1);
-
+  auto steps = std::make_shared<StepList>(build_access_setup(*c));
   const std::uint64_t setup_span = c->setup_span;
   run_steps(steps, false,
             [this, id, steps, cb = std::move(cb)](
@@ -1319,13 +1282,7 @@ void GriphonController::groom_new_carrier(NodeId a, NodeId b,
     return;
   }
   reserve_plan(wplan);
-  // No customer access is involved; reuse the wavelength command builder
-  // with a synthetic connection record for naming only.
-  Connection synthetic;
-  synthetic.src_pop = a;
-  synthetic.dst_pop = b;
-  auto steps = std::make_shared<StepList>(
-      build_wavelength_setup(synthetic, wplan, /*include_access=*/false));
+  auto steps = std::make_shared<StepList>(build_wavelength_setup(wplan));
   run_steps(steps, false,
             [this, a, b, wplan, steps, cb = std::move(cb)](
                 Status status, std::vector<std::size_t> succeeded) mutable {
@@ -1374,9 +1331,7 @@ void GriphonController::decommission_idle_carriers(DoneCallback cb) {
     }
     const WavelengthPlan plan = groomed_plans_.at(carrier_id);
     groomed_plans_.erase(carrier_id);
-    Connection synthetic;
-    auto steps = std::make_shared<StepList>(
-        build_wavelength_teardown(synthetic, plan, /*include_access=*/false));
+    auto steps = std::make_shared<StepList>(build_wavelength_teardown(plan));
     run_steps(steps, /*best_effort=*/true,
               [this, carrier_id, remaining, cb](Status,
                                                 std::vector<std::size_t>) {
@@ -1450,54 +1405,14 @@ void GriphonController::release_connection(ConnectionId id, DoneCallback cb) {
     cb(status);
   };
 
-  if (c->kind == ConnectionKind::kWavelength) {
-    auto steps = std::make_shared<StepList>(
-        build_wavelength_teardown(*c, c->plan, /*include_access=*/true));
-    if (c->standby) {
-      append_steps(*steps, build_wavelength_teardown(*c, *c->standby, false));
-    }
-    run_steps(steps, /*best_effort=*/true,
-              [finish](Status status, std::vector<std::size_t>) {
-                finish(status);
-              },
-              c->op_span);
-  } else {
-    auto steps = std::make_shared<StepList>();
-    auto* fxc_client = &model_->fxc_ems_client();
-    auto* nte_client = &model_->nte_ems_client();
-    auto fxc_step = [&](NodeId pop, MuxponderId site, std::size_t nte_port) {
-      fxc::Fxc& f = model_->fxc_at(pop);
-      const auto access = f.port_for(fxc::Wiring::Kind::kCustomerAccess,
-                                     site.value(), nte_port);
-      assert(access);
-      steps->push_back(Step{fxc_client,
-                            proto::FxcDisconnect{f.id(), *access},
-                            std::nullopt});
-    };
-    fxc_step(c->src_pop, c->src_site, c->src_nte_port);
-    fxc_step(c->dst_pop, c->dst_site, c->dst_nte_port);
-    steps->push_back(Step{
-        nte_client,
-        proto::NtePort{c->src_site,
-                       static_cast<std::uint32_t>(c->src_nte_port), false},
-        std::nullopt});
-    steps->push_back(Step{
-        nte_client,
-        proto::NtePort{c->dst_site,
-                       static_cast<std::uint32_t>(c->dst_nte_port), false},
-        std::nullopt});
-    proto::OtnOp release;
-    release.op = proto::OtnOp::Op::kRelease;
-    release.circuit = c->odu;
-    steps->push_back(Step{&model_->otn_ems_client(), release, std::nullopt});
-    const OduCircuitId odu = c->odu;
-    run_steps(steps, true,
-              [this, odu, finish](Status status, std::vector<std::size_t>) {
-                odu_to_connection_.erase(odu);
-                finish(status);
-              },
-              c->op_span);
-  }
+  auto steps = std::make_shared<StepList>(build_release(*c));
+  const OduCircuitId odu = c->odu;
+  run_steps(steps, /*best_effort=*/true,
+            [this, odu, finish](Status status, std::vector<std::size_t>) {
+              if (odu.valid()) odu_to_connection_.erase(odu);
+              finish(status);
+            },
+            c->op_span);
 }
 
 // --------------------------------------------------------------------------
@@ -1588,28 +1503,7 @@ void GriphonController::on_links_failed(
       mark_failed(c);
       if (mid_setup) continue;  // finish_setup re-checks and restores
       if (c.protection == ProtectionMode::kOnePlusOne && c.standby) {
-        // Tail-end switch to the other leg if it survives.
-        const WavelengthPlan& other =
-            c.traffic_on_standby ? c.plan : *c.standby;
-        const auto& believed = failures_.believed_failed();
-        const bool other_ok =
-            !plan_uses_any(other, believed);
-        if (other_ok) {
-          const ConnectionId cid = id;
-          model_->engine().schedule(params_.roll_hit, [this, cid]() {
-            Connection* c = find_conn(cid);
-            if (c == nullptr || c->state != ConnectionState::kFailed) return;
-            c->traffic_on_standby = !c->traffic_on_standby;
-            ++c->restorations;
-            mark_recovered(*c);
-            if (telemetry::Telemetry* t = model_->telemetry())
-              t->event(telemetry::Severity::kInfo, "restoration",
-                       "controller",
-                       "connection " + std::to_string(cid.value()) +
-                           " switched to its 1+1 protection leg",
-                       telemetry_tag(cid));
-          });
-        }
+        tail_end_switch(c, /*failover=*/true);
       } else if (c.protection == ProtectionMode::kRestorable) {
         enqueue_restoration(id);
       }
@@ -1649,26 +1543,9 @@ void GriphonController::on_links_repaired(const std::vector<LinkId>& links) {
           mark_recovered(c);
         }
       } else if (c.protection == ProtectionMode::kOnePlusOne && c.standby) {
-        // The active leg is still dark but the other one just came back:
-        // tail-end switch onto it.
-        const WavelengthPlan& other =
-            c.traffic_on_standby ? c.plan : *c.standby;
-        if (!plan_uses_any(other, believed)) {
-          const ConnectionId cid = id;
-          model_->engine().schedule(params_.roll_hit, [this, cid]() {
-            Connection* cc = find_conn(cid);
-            if (cc == nullptr || cc->state != ConnectionState::kFailed)
-              return;
-            cc->traffic_on_standby = !cc->traffic_on_standby;
-            mark_recovered(*cc);
-            if (telemetry::Telemetry* t = model_->telemetry())
-              t->event(telemetry::Severity::kInfo, "restoration",
-                       "controller",
-                       "connection " + std::to_string(cid.value()) +
-                           " switched back to its repaired 1+1 leg",
-                       telemetry_tag(cid));
-          });
-        }
+        // The active leg is still dark but the other one may just have
+        // come back.
+        tail_end_switch(c, /*failover=*/false);
       }
     } else if (c.odu.valid()) {
       const auto& circuit = model_->otn().circuit(c.odu);
@@ -1681,6 +1558,24 @@ void GriphonController::on_links_repaired(const std::vector<LinkId>& links) {
   // entries wake and the backoff clock restarts (the world changed).
   kick_restoration_backlog(/*reset_attempts=*/true);
   if (topology_observer_) topology_observer_(links, /*failed=*/false);
+}
+
+void GriphonController::tail_end_switch(const Connection& c, bool failover) {
+  const WavelengthPlan& other = c.traffic_on_standby ? c.plan : *c.standby;
+  if (plan_uses_any(other, failures_.believed_failed())) return;
+  model_->engine().schedule(params_.roll_hit, [this, id = c.id, failover]() {
+    Connection* c = find_conn(id);
+    if (c == nullptr || c->state != ConnectionState::kFailed) return;
+    c->traffic_on_standby = !c->traffic_on_standby;
+    if (failover) ++c->restorations;
+    mark_recovered(*c);
+    if (telemetry::Telemetry* t = model_->telemetry())
+      t->event(telemetry::Severity::kInfo, "restoration", "controller",
+               "connection " + std::to_string(id.value()) +
+                   (failover ? " switched to its 1+1 protection leg"
+                             : " switched back to its repaired 1+1 leg"),
+               telemetry_tag(id));
+  });
 }
 
 void GriphonController::enqueue_restoration(ConnectionId id) {
@@ -1704,11 +1599,11 @@ void GriphonController::enqueue_restoration(ConnectionId id) {
 }
 
 void GriphonController::pump_restorations() {
-  // Wavelength restoration trains (include_access=false) are dominated by
-  // roadm-ems dialogues: OT tuning, add/drop, regens, power balancing.
-  // Admission is gated on that domain — with one dominant domain the
+  // Wavelength restoration trains (no access steps) are dominated by ROADM
+  // EMS dialogues: OT tuning, add/drop, regens, power balancing. Admission
+  // is gated on that domain — every restoration counts against it, so the
   // effective parallelism is min(max_concurrent, per_domain_inflight).
-  static const std::string kDomain = "roadm-ems";
+  const std::string& domain = model_->roadm_ems().name();
   while (restorations_in_flight_ < params_.restoration.max_concurrent &&
          !restore_queue_.empty()) {
     const ConnectionId id = restore_queue_.front();
@@ -1717,17 +1612,16 @@ void GriphonController::pump_restorations() {
       restore_queue_.erase(restore_queue_.begin());
       continue;
     }
-    if (ems_health_.state(kDomain) == EmsHealthTracker::BreakerState::kOpen) {
+    if (ems_health_.state(domain) == EmsHealthTracker::BreakerState::kOpen) {
       // The domain's breaker is open: nothing restores until it heals.
       // Send the head to the backlog (bounded backoff, observable) rather
       // than spinning or burning the half-open probe slot.
       restore_queue_.erase(restore_queue_.begin());
-      backlog_restoration(id, "restoration shed: " + kDomain +
+      backlog_restoration(id, "restoration shed: " + domain +
                                   " breaker open");
       continue;
     }
-    if (restoration_domain_inflight_[kDomain] >=
-        params_.restoration.per_domain_inflight)
+    if (restorations_in_flight_ >= params_.restoration.per_domain_inflight)
       break;  // a landing restoration re-pumps
     restore_queue_.erase(restore_queue_.begin());
     if (restore_backlog_.contains(id)) {
@@ -1739,11 +1633,9 @@ void GriphonController::pump_restorations() {
             ->inc();
     }
     ++restorations_in_flight_;
-    ++restoration_domain_inflight_[kDomain];
     update_restoration_gauges();
     restore_wavelength(id, [this]() {
       --restorations_in_flight_;
-      --restoration_domain_inflight_[kDomain];
       // Deferred one event: restore_wavelength's early exits call done
       // synchronously, and a re-entrant pump inside the launch loop would
       // act on half-updated counters.
@@ -2017,7 +1909,7 @@ void GriphonController::restore_wavelength(ConnectionId id,
         reprov_span =
             t->span_start("reprovision", "controller", 0, c->op_span);
       auto steps = std::make_shared<StepList>(
-          build_wavelength_setup(*c, new_plan, /*include_access=*/false));
+          build_wavelength_setup(new_plan));
       run_steps(steps, false,
                 [this, id, new_plan, steps, done, close_restore, reprov_span](
                     Status status, std::vector<std::size_t> succeeded) {
@@ -2070,7 +1962,7 @@ void GriphonController::restore_wavelength(ConnectionId id,
     release_span =
         t->span_start("release_old_path", "controller", 0, c0->op_span);
   auto teardown = std::make_shared<StepList>(
-      build_wavelength_teardown(*c0, c0->plan, /*include_access=*/false));
+      build_wavelength_teardown(c0->plan));
   run_steps(teardown, /*best_effort=*/true,
             [this, id, proceed, release_span](Status,
                                               std::vector<std::size_t>) {
@@ -2121,11 +2013,22 @@ void GriphonController::roll_to_plan(ConnectionId id,
   // restoration. c->op_span may already belong to the restoration then,
   // so the roll's root span handle is captured by value here.
   const std::uint64_t roll_span = c0->op_span;
+  // Counts a failed roll and closes its root span, on either failure exit.
+  auto roll_failed = [this, roll_span](Connection& c, const std::string& why) {
+    ++stats_.rolls_failed;
+    if (telemetry::Telemetry* t = model_->telemetry()) {
+      t->span_end(roll_span, false, why);
+      if (c.op_span == roll_span) c.op_span = 0;
+      t->metrics()
+          .counter("griphon_controller_rolls_failed_total",
+                   "Bridge-and-roll attempts that failed")
+          ->inc();
+    }
+  };
   // Bridge: build the new path end to end while traffic rides the old one.
-  auto steps = std::make_shared<StepList>(
-      build_wavelength_setup(*c0, new_plan, /*include_access=*/false));
+  auto steps = std::make_shared<StepList>(build_wavelength_setup(new_plan));
   run_steps(steps, false, [this, id, new_plan, steps, bridge_span, roll_span,
-                           cb = std::move(cb)](
+                           roll_failed, cb = std::move(cb)](
                               Status status,
                               std::vector<std::size_t> succeeded) mutable {
     if (telemetry::Telemetry* t = model_->telemetry())
@@ -2143,15 +2046,7 @@ void GriphonController::roll_to_plan(ConnectionId id,
                        "controller: connection failed during bridge; "
                        "restoration owns recovery"}
               : status;
-      ++stats_.rolls_failed;
-      if (telemetry::Telemetry* t = model_->telemetry()) {
-        t->span_end(roll_span, false, out.error().message());
-        if (c->op_span == roll_span) c->op_span = 0;
-        t->metrics()
-            .counter("griphon_controller_rolls_failed_total",
-                     "Bridge-and-roll attempts that failed")
-            ->inc();
-      }
+      roll_failed(*c, out.error().message());
       rollback_steps(steps, std::move(succeeded),
                      [this, id, out, cb = std::move(cb)]() mutable {
                        Connection* c = find_conn(id);
@@ -2167,7 +2062,7 @@ void GriphonController::roll_to_plan(ConnectionId id,
     // Roll: the NTE bridges the client signal to both paths; the receive
     // side selects the new one. The service hit is tens of milliseconds.
     model_->engine().schedule(params_.roll_hit, [this, id, new_plan, steps,
-                                                 roll_span,
+                                                 roll_span, roll_failed,
                                                  cb = std::move(cb)]() mutable {
       Connection* c = find_conn(id);
       if (c == nullptr) return;
@@ -2175,15 +2070,7 @@ void GriphonController::roll_to_plan(ConnectionId id,
         // The cut landed in the post-bridge settling window. The bridge is
         // fully built, so unwind all of it and let restoration recover the
         // service on whatever path it finds.
-        ++stats_.rolls_failed;
-        if (telemetry::Telemetry* t = model_->telemetry()) {
-          t->span_end(roll_span, false, "superseded by failure handling");
-          if (c->op_span == roll_span) c->op_span = 0;
-          t->metrics()
-              .counter("griphon_controller_rolls_failed_total",
-                       "Bridge-and-roll attempts that failed")
-              ->inc();
-        }
+        roll_failed(*c, "superseded by failure handling");
         std::vector<std::size_t> all(steps->size());
         std::iota(all.begin(), all.end(), 0);
         rollback_steps(steps, std::move(all), [cb = std::move(cb)]() mutable {
@@ -2236,9 +2123,7 @@ void GriphonController::roll_to_plan(ConnectionId id,
       // Teardown deps are indices within their own list; the repatch steps
       // above shift them, so rebase instead of splicing raw.
       const std::size_t tear_base = post->size();
-      append_steps(*post,
-                   build_wavelength_teardown(*c, old_plan,
-                                             /*include_access=*/false));
+      append_steps(*post, build_wavelength_teardown(old_plan));
       // Old endpoint optics the new plan no longer uses go back to idle,
       // not just dark: a completed roll must leave no tuned-but-unowned
       // residue for resync to sweep. Deactivate steps sit first in the
@@ -2493,6 +2378,9 @@ std::string fxc_key(FxcId f, PortId a, PortId b) {
 std::string nte_key(MuxponderId n, std::uint32_t p) {
   return "nte/" + std::to_string(n.value()) + "/" + std::to_string(p);
 }
+std::string odu_key(OduCircuitId c) {
+  return "odu/" + std::to_string(c.value());
+}
 
 /// Keys a setup-direction command contributes to expected configuration.
 /// Release-direction and stateless (PowerBalance) commands contribute none.
@@ -2528,6 +2416,76 @@ struct ConfigKeyVisitor {
 
 void append_config_keys(const proto::Message& m, std::set<std::string>& out) {
   std::visit(ConfigKeyVisitor{out}, m);
+}
+
+/// One piece of configuration a device holds: its canonical key, the
+/// audit's leak counter for its kind and the command that releases it.
+struct DeviceConfig {
+  std::string key;
+  std::size_t GriphonController::ResyncReport::*leaks;
+  proto::RequestClient* client;
+  proto::Message release;
+  const dwdm::Transponder* ot = nullptr;  ///< set for a transponder
+};
+
+/// Every configured element of the plant, in a fixed order: per node its
+/// ROADM uses and FXC cross-connects, then transponders that are not idle,
+/// engaged regens, claimed NTE ports and (with OTN) ODU circuits.
+template <typename Visit>
+void walk_device_config(NetworkModel& model, Visit&& visit) {
+  using Report = GriphonController::ResyncReport;
+  auto* roadm = &model.roadm_ems_client();
+  auto* fxc = &model.fxc_ems_client();
+  for (const auto& node : model.graph().nodes()) {
+    const dwdm::Roadm& r = model.roadm_at(node.id);
+    for (const auto& u : r.uses()) {
+      if (u.is_express) {
+        if (u.degree > u.other_degree) continue;  // each pair once
+        visit(DeviceConfig{
+            express_key(r.id(), u.channel, u.degree, u.other_degree),
+            &Report::leaked_roadm_uses, roadm,
+            proto::RoadmExpress{r.id(), u.channel, u.degree, u.other_degree,
+                                false}});
+      } else {
+        const auto& port = r.port(u.port);
+        visit(DeviceConfig{
+            add_drop_key(r.id(), u.port, port.degree, port.channel),
+            &Report::leaked_roadm_uses, roadm,
+            proto::RoadmAddDrop{r.id(), u.port, 0, 0, false}});
+      }
+    }
+    const fxc::Fxc& f = model.fxc_at(node.id);
+    for (const auto& [a, b] : f.cross_connects())
+      visit(DeviceConfig{fxc_key(f.id(), a, b), &Report::leaked_fxc_connects,
+                         fxc, proto::FxcDisconnect{f.id(), a}});
+  }
+  for (const auto& ot : model.ots())
+    if (ot->state() != dwdm::Transponder::State::kIdle)
+      visit(DeviceConfig{
+          ot_tuned_key(ot->id()), &Report::leaked_ots, roadm,
+          proto::OtSetState{ot->id(), proto::OtSetState::Action::kReset},
+          ot.get()});
+  for (const auto& rg : model.regens())
+    if (rg->in_use())
+      visit(DeviceConfig{regen_key(rg->id()), &Report::leaked_regens, roadm,
+                         proto::RegenEngage{rg->id(), 0, 0, false}});
+  for (const auto& site : model.customer_sites()) {
+    const dwdm::Muxponder& mux = model.nte(site.nte);
+    for (std::uint32_t p = 0; p < dwdm::Muxponder::kClientPorts; ++p)
+      if (mux.port_in_use(p))
+        visit(DeviceConfig{nte_key(site.nte, p), &Report::leaked_nte_ports,
+                           &model.nte_ems_client(),
+                           proto::NtePort{site.nte, p, false}});
+  }
+  if (model.config().with_otn) {
+    for (const OduCircuitId cid : model.otn().circuit_ids()) {
+      proto::OtnOp release;
+      release.op = proto::OtnOp::Op::kRelease;
+      release.circuit = cid;
+      visit(DeviceConfig{odu_key(cid), &Report::leaked_otn_circuits,
+                         &model.otn_ems_client(), release});
+    }
+  }
 }
 
 }  // namespace
@@ -2583,68 +2541,15 @@ StepList GriphonController::expected_steps_for(
   if (c.state != ConnectionState::kActive &&
       c.state != ConnectionState::kFailed)
     return {};
-  if (c.kind == ConnectionKind::kWavelength) {
-    if (c.deprovisioned) {
-      // Restoration already released this path's devices; only the access
-      // plumbing is still owned.
-      return build_access_setup(c, c.plan);
-    }
-    StepList steps = build_wavelength_setup(c, c.plan, /*include_access=*/true);
-    if (c.standby) {
-      StepList standby =
-          build_wavelength_setup(c, *c.standby, /*include_access=*/false);
-      steps.insert(steps.end(), standby.begin(), standby.end());
-    }
-    return steps;
-  }
-  // Sub-wavelength: NTE ports + FXC steering onto the OTN client ports.
-  // The ODU circuit itself is audited separately by id.
-  if (!c.odu.valid()) return {};
-  StepList steps;
-  auto* nte_client = &model_->nte_ems_client();
-  auto* fxc_client = &model_->fxc_ems_client();
-  steps.push_back(
-      Step{nte_client,
-           proto::NtePort{c.src_site,
-                          static_cast<std::uint32_t>(c.src_nte_port), true},
-           std::nullopt});
-  steps.push_back(
-      Step{nte_client,
-           proto::NtePort{c.dst_site,
-                          static_cast<std::uint32_t>(c.dst_nte_port), true},
-           std::nullopt});
-  const auto& circuit = model_->otn().circuit(c.odu);
-  auto fxc_step = [&](NodeId pop, MuxponderId site, std::size_t nte_port,
-                      std::size_t otn_port) {
-    fxc::Fxc& f = model_->fxc_at(pop);
-    const auto access = f.port_for(fxc::Wiring::Kind::kCustomerAccess,
-                                   site.value(), nte_port);
-    const auto sw = model_->otn().switch_at(pop);
-    if (!access || sw == nullptr) return;
-    const auto otnp = f.port_for(fxc::Wiring::Kind::kOtnClientPort,
-                                 sw->id().value(), otn_port);
-    if (!otnp) return;
-    steps.push_back(Step{fxc_client, proto::FxcConnect{f.id(), *access, *otnp},
-                         std::nullopt});
-  };
-  fxc_step(c.src_pop, c.src_site, c.src_nte_port, circuit.src_port);
-  fxc_step(c.dst_pop, c.dst_site, c.dst_nte_port, circuit.dst_port);
-  return steps;
-}
-
-StepList GriphonController::build_expected_steps() const {
-  StepList steps;
-  for (const ConnectionId id : live_) {
-    StepList s = expected_steps_for(connection(id));
-    steps.insert(steps.end(), std::make_move_iterator(s.begin()),
-                 std::make_move_iterator(s.end()));
-  }
-  for (const auto& [carrier, plan] : groomed_plans_) {
-    Connection synthetic;
-    StepList s =
-        build_wavelength_setup(synthetic, plan, /*include_access=*/false);
-    steps.insert(steps.end(), std::make_move_iterator(s.begin()),
-                 std::make_move_iterator(s.end()));
+  // The ODU circuit of a sub-wavelength service is audited by id.
+  if (c.kind != ConnectionKind::kWavelength)
+    return c.odu.valid() ? build_access_setup(c) : StepList{};
+  StepList steps = build_access_setup(c);
+  // A failed restoration already released a deprovisioned path's devices;
+  // only the access plumbing is still owned.
+  if (!c.deprovisioned) {
+    append_steps(steps, build_wavelength_setup(c.plan));
+    if (c.standby) append_steps(steps, build_wavelength_setup(*c.standby));
   }
   return steps;
 }
@@ -2654,103 +2559,37 @@ void GriphonController::do_resync(
   ++stats_.resync_runs;
   auto report = std::make_shared<ResyncReport>();
 
-  // Expected: what live connections + groomed carriers own today.
+  // Expected: the setup commands each live connection and groomed carrier
+  // would issue today, plus the ODU circuits the connections own.
+  std::vector<StepList> owned;
   std::set<std::string> expected;
-  std::set<OduCircuitId> expected_odus;
-  for (const Step& s : build_expected_steps())
-    append_config_keys(s.forward, expected);
   for (const ConnectionId id : live_) {
     const Connection& c = conn(id);
+    owned.push_back(expected_steps_for(c));
     if (c.odu.valid() && (c.state == ConnectionState::kActive ||
                           c.state == ConnectionState::kFailed))
-      expected_odus.insert(c.odu);
+      expected.insert(odu_key(c.odu));
   }
+  for (const auto& [carrier, plan] : groomed_plans_)
+    owned.push_back(build_wavelength_setup(plan));
+  for (const StepList& steps : owned)
+    for (const Step& s : steps) append_config_keys(s.forward, expected);
 
   // Present: walk every device; anything configured but unowned is a leak
   // and gets a release command.
   std::set<std::string> present;
   auto repair = std::make_shared<StepList>();
-  auto* roadm_client = &model_->roadm_ems_client();
-  auto* fxc_client = &model_->fxc_ems_client();
-  auto* nte_client = &model_->nte_ems_client();
-  auto leak = [&](std::size_t& counter, proto::RequestClient* client,
-                  proto::Message release) {
-    ++counter;
-    repair->push_back(Step{client, std::move(release), std::nullopt});
-  };
-
-  for (const auto& node : model_->graph().nodes()) {
-    const dwdm::Roadm& r = model_->roadm_at(node.id);
-    for (const auto& u : r.uses()) {
-      if (u.is_express) {
-        if (u.degree > u.other_degree) continue;  // each pair once
-        const std::string key =
-            express_key(r.id(), u.channel, u.degree, u.other_degree);
-        present.insert(key);
-        if (!expected.contains(key))
-          leak(report->leaked_roadm_uses, roadm_client,
-               proto::RoadmExpress{r.id(), u.channel, u.degree, u.other_degree,
-                                   false});
-      } else {
-        const auto& port = r.port(u.port);
-        const std::string key =
-            add_drop_key(r.id(), u.port, port.degree, port.channel);
-        present.insert(key);
-        if (!expected.contains(key))
-          leak(report->leaked_roadm_uses, roadm_client,
-               proto::RoadmAddDrop{r.id(), u.port, 0, 0, false});
-      }
+  walk_device_config(*model_, [&](const DeviceConfig& d) {
+    if (d.ot != nullptr) {
+      if (d.ot->state() == dwdm::Transponder::State::kFailed) return;
+      if (d.ot->state() == dwdm::Transponder::State::kActive)
+        present.insert(ot_active_key(d.ot->id()));
     }
-    const fxc::Fxc& f = model_->fxc_at(node.id);
-    for (const auto& [a, b] : f.cross_connects()) {
-      const std::string key = fxc_key(f.id(), a, b);
-      present.insert(key);
-      if (!expected.contains(key))
-        leak(report->leaked_fxc_connects, fxc_client,
-             proto::FxcDisconnect{f.id(), a});
-    }
-  }
-  for (const auto& ot : model_->ots()) {
-    if (ot->state() == dwdm::Transponder::State::kIdle ||
-        ot->state() == dwdm::Transponder::State::kFailed)
-      continue;
-    present.insert(ot_tuned_key(ot->id()));
-    if (ot->state() == dwdm::Transponder::State::kActive)
-      present.insert(ot_active_key(ot->id()));
-    if (!expected.contains(ot_tuned_key(ot->id())))
-      leak(report->leaked_ots, roadm_client,
-           proto::OtSetState{ot->id(), proto::OtSetState::Action::kReset});
-  }
-  for (const auto& rg : model_->regens()) {
-    if (!rg->in_use()) continue;
-    const std::string key = regen_key(rg->id());
-    present.insert(key);
-    if (!expected.contains(key))
-      leak(report->leaked_regens, roadm_client,
-           proto::RegenEngage{rg->id(), 0, 0, false});
-  }
-  for (const auto& site : model_->customer_sites()) {
-    const dwdm::Muxponder& mux = model_->nte(site.nte);
-    for (std::size_t p = 0; p < dwdm::Muxponder::kClientPorts; ++p) {
-      if (!mux.port_in_use(p)) continue;
-      const std::string key =
-          nte_key(site.nte, static_cast<std::uint32_t>(p));
-      present.insert(key);
-      if (!expected.contains(key))
-        leak(report->leaked_nte_ports, nte_client,
-             proto::NtePort{site.nte, static_cast<std::uint32_t>(p), false});
-    }
-  }
-  if (model_->config().with_otn) {
-    auto* otn_client = &model_->otn_ems_client();
-    for (const OduCircuitId cid : model_->otn().circuit_ids()) {
-      if (expected_odus.contains(cid)) continue;
-      proto::OtnOp release;
-      release.op = proto::OtnOp::Op::kRelease;
-      release.circuit = cid;
-      leak(report->leaked_otn_circuits, otn_client, proto::Message{release});
-    }
-  }
+    present.insert(d.key);
+    if (expected.contains(d.key)) return;
+    ++((*report).*d.leaks);
+    repair->push_back(Step{d.client, d.release, std::nullopt});
+  });
 
   // Drift: owned configuration the devices no longer hold. Re-issue the
   // missing setup commands in setup order (per-device EMS queues keep a
@@ -2770,15 +2609,8 @@ void GriphonController::do_resync(
     }
     return drifted;
   };
-  for (const ConnectionId id : live_)
-    if (append_drift_repairs(expected_steps_for(conn(id))))
-      ++report->drifted_connections;
-  for (const auto& [carrier, plan] : groomed_plans_) {
-    Connection synthetic;
-    if (append_drift_repairs(
-            build_wavelength_setup(synthetic, plan, /*include_access=*/false)))
-      ++report->drifted_connections;
-  }
+  for (const StepList& steps : owned)
+    if (append_drift_repairs(steps)) ++report->drifted_connections;
 
   report->repair_commands = repair->size();
   stats_.resync_leaks += report->total_leaks();
@@ -2816,44 +2648,19 @@ void GriphonController::do_resync(
 }
 
 std::string GriphonController::device_state_digest() const {
-  // Same canonical-key walk the reconciliation audit uses for its
-  // "present" set, enriched with each transponder's tuned channel and
-  // state so a wrong wavelength or a merely-tuned OT changes the digest.
-  // Keys are sorted, so the digest is independent of command order — the
-  // property the seq/DAG equivalence tests pin down.
+  // The reconciliation audit's device walk, with each transponder's key
+  // carrying its tuned channel and state so a wrong wavelength or a
+  // merely-tuned OT changes the digest. Keys are sorted, so the digest is
+  // independent of command order — the property the seq/DAG equivalence
+  // tests pin down.
   std::set<std::string> keys;
-  for (const auto& node : model_->graph().nodes()) {
-    const dwdm::Roadm& r = model_->roadm_at(node.id);
-    for (const auto& u : r.uses()) {
-      if (u.is_express) {
-        if (u.degree > u.other_degree) continue;  // each pair once
-        keys.insert(express_key(r.id(), u.channel, u.degree, u.other_degree));
-      } else {
-        const auto& port = r.port(u.port);
-        keys.insert(add_drop_key(r.id(), u.port, port.degree, port.channel));
-      }
-    }
-    const fxc::Fxc& f = model_->fxc_at(node.id);
-    for (const auto& [a, b] : f.cross_connects())
-      keys.insert(fxc_key(f.id(), a, b));
-  }
-  for (const auto& ot : model_->ots()) {
-    if (ot->state() == dwdm::Transponder::State::kIdle) continue;
-    keys.insert("ot/" + std::to_string(ot->id().value()) + "/ch" +
-                std::to_string(ot->channel()) + "/" +
-                to_string(ot->state()));
-  }
-  for (const auto& rg : model_->regens())
-    if (rg->in_use()) keys.insert(regen_key(rg->id()));
-  for (const auto& site : model_->customer_sites()) {
-    const dwdm::Muxponder& mux = model_->nte(site.nte);
-    for (std::size_t p = 0; p < dwdm::Muxponder::kClientPorts; ++p)
-      if (mux.port_in_use(p))
-        keys.insert(nte_key(site.nte, static_cast<std::uint32_t>(p)));
-  }
-  if (model_->config().with_otn)
-    for (const OduCircuitId cid : model_->otn().circuit_ids())
-      keys.insert("odu/" + std::to_string(cid.value()));
+  walk_device_config(*model_, [&](const DeviceConfig& d) {
+    keys.insert(d.ot == nullptr
+                    ? d.key
+                    : "ot/" + std::to_string(d.ot->id().value()) + "/ch" +
+                          std::to_string(d.ot->channel()) + "/" +
+                          to_string(d.ot->state()));
+  });
   std::string digest;
   for (const std::string& k : keys) {
     digest += k;

@@ -64,7 +64,9 @@ class GriphonController {
     /// re-arms it — so the event loop always drains.
     struct RestorationPolicy {
       std::size_t max_concurrent = 1;
-      /// Restorations in flight against one EMS domain at once.
+      /// Restorations in flight at once against the ROADM EMS, which
+      /// dominates every restoration train. All restorations count against
+      /// it, so the effective cap is min(max_concurrent, this).
       std::size_t per_domain_inflight = 4;
       int max_timed_retries = 6;
       SimTime retry_base = seconds(10);
@@ -344,15 +346,21 @@ class GriphonController {
                                           DataRate rate,
                                           std::uint64_t parent_span);
 
-  // Plan -> command sequences.
-  [[nodiscard]] StepList build_wavelength_setup(const Connection& c,
-                                                const WavelengthPlan& plan,
-                                                bool include_access) const;
+  // Plan -> command sequences. The wavelength builders cover the path
+  // alone (transponders, ROADMs, regens, power balancing); customer access
+  // is built per connection.
+  [[nodiscard]] StepList build_wavelength_setup(
+      const WavelengthPlan& plan) const;
   [[nodiscard]] StepList build_wavelength_teardown(
-      const Connection& c, const WavelengthPlan& plan,
-      bool include_access) const;
-  [[nodiscard]] StepList build_access_setup(const Connection& c,
-                                            const WavelengthPlan& plan) const;
+      const WavelengthPlan& plan) const;
+  /// NTE ports at both premises, then the FXC cross-connects that steer
+  /// them onto the service: the endpoint transponders of `c.plan` for a
+  /// wavelength, the OTN switch client ports of `c.odu` otherwise.
+  [[nodiscard]] StepList build_access_setup(const Connection& c) const;
+  /// Everything a connection owns, unwound: a wavelength's path, its
+  /// access and its 1+1 standby leg; a sub-wavelength service's access and
+  /// its ODU circuit.
+  [[nodiscard]] StepList build_release(const Connection& c) const;
 
   // Reservation bookkeeping around a plan.
   void reserve_plan(const WavelengthPlan& plan);
@@ -383,6 +391,10 @@ class GriphonController {
   void update_restoration_gauges();
   void mark_failed(Connection& c);
   void mark_recovered(Connection& c);
+  /// 1+1 tail-end switch: if the leg not carrying traffic survives, move
+  /// traffic onto it after the roll hit. `failover` (the working leg died)
+  /// counts a restoration; a switch back onto a repaired leg does not.
+  void tail_end_switch(const Connection& c, bool failover);
 
   // Bridge-and-roll core (shared by maintenance, re-groom, reversion).
   void roll_to_plan(ConnectionId id, const WavelengthPlan& new_plan,
@@ -392,9 +404,8 @@ class GriphonController {
   void schedule_resync();
   void try_auto_resync();
   void do_resync(std::function<void(const ResyncReport&)> done);
-  /// Expected device configuration of every live connection + groomed
-  /// carrier, expressed as the setup command lists that would create it.
-  [[nodiscard]] StepList build_expected_steps() const;
+  /// Expected device configuration of a live connection, expressed as the
+  /// setup commands that would create it.
   [[nodiscard]] StepList expected_steps_for(const Connection& c) const;
 
   /// The only writer of Connection::state and of the live-connection
@@ -440,8 +451,6 @@ class GriphonController {
   };
   std::map<ConnectionId, BacklogEntry> restore_backlog_;
   std::size_t restorations_in_flight_ = 0;
-  /// In-flight restorations per dominant EMS domain (admission window).
-  std::map<std::string, std::size_t> restoration_domain_inflight_;
   bool storm_active_ = false;
   std::size_t pending_commands_ = 0;  ///< EMS commands awaiting a response
   bool resync_scheduled_ = false;

@@ -69,7 +69,7 @@ void EmsHealthTracker::open_breaker(const std::string& name, Domain& d) {
                  "Circuit-breaker open transitions", {{"domain", name}})
         ->inc();
     gauge_set(name, 1.0);
-    telemetry_->event(telemetry::Severity::kWarn, "breaker", name + "-ems",
+    telemetry_->event(telemetry::Severity::kWarn, "breaker", name,
                       "circuit breaker opened after " +
                           std::to_string(d.consecutive_timeouts) +
                           " consecutive timeouts");
@@ -86,7 +86,7 @@ void EmsHealthTracker::close_breaker(const std::string& name, Domain& d) {
                  "Circuit-breaker close transitions", {{"domain", name}})
         ->inc();
     gauge_set(name, 0.0);
-    telemetry_->event(telemetry::Severity::kInfo, "breaker", name + "-ems",
+    telemetry_->event(telemetry::Severity::kInfo, "breaker", name,
                       "circuit breaker closed (probe succeeded)");
   }
 }

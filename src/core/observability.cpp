@@ -11,18 +11,6 @@ namespace griphon::core {
 
 namespace {
 
-/// "roadm-ems" → "roadm": same convention as the griphon_ems_<domain>_*
-/// metric prefix.
-std::string domain_of(const std::string& server_name) {
-  constexpr const char* kSuffix = "-ems";
-  constexpr std::size_t kSuffixLen = 4;
-  if (server_name.size() > kSuffixLen &&
-      server_name.compare(server_name.size() - kSuffixLen, kSuffixLen,
-                          kSuffix) == 0)
-    return server_name.substr(0, server_name.size() - kSuffixLen);
-  return server_name;
-}
-
 double breaker_level(EmsHealthTracker::BreakerState s) {
   switch (s) {
     case EmsHealthTracker::BreakerState::kClosed:
@@ -53,14 +41,15 @@ void install_standard_probes(telemetry::GaugeSampler& sampler,
   });
 
   for (ems::EmsServer* server : model.ems_servers()) {
-    const std::string domain = domain_of(server->name());
-    sampler.add_probe("ems_" + domain + "_queue_depth", "count", [server] {
+    const std::string probe = "ems_" + server->metric_domain();
+    sampler.add_probe(probe + "_queue_depth", "count", [server] {
       return static_cast<double>(server->queue_depth());
     });
-    sampler.add_probe("ems_" + domain + "_breaker_open", "level",
-                      [&controller, domain] {
+    // The controller keys its breakers by the full server name.
+    sampler.add_probe(probe + "_breaker_open", "level",
+                      [&controller, server] {
                         return breaker_level(
-                            controller.ems_health().state(domain));
+                            controller.ems_health().state(server->name()));
                       });
   }
 

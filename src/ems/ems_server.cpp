@@ -52,6 +52,15 @@ void EmsServer::manage_nte(dwdm::Muxponder* device) {
 
 void EmsServer::manage_otn(otn::OtnLayer* layer) { otn_ = layer; }
 
+std::string EmsServer::metric_domain() const {
+  std::string domain = name_;
+  if (domain.size() > 4 && domain.compare(domain.size() - 4, 4, "-ems") == 0)
+    domain.resize(domain.size() - 4);
+  for (char& c : domain)
+    if (c == '-') c = '_';
+  return domain;
+}
+
 void EmsServer::set_telemetry(telemetry::Telemetry* telemetry) {
   telemetry_ = telemetry;
   if (telemetry_ == nullptr) {
@@ -63,13 +72,7 @@ void EmsServer::set_telemetry(telemetry::Telemetry* telemetry) {
     task_seconds_ = nullptr;
     return;
   }
-  // "roadm-ems" -> griphon_ems_roadm_*; any '-' becomes '_'.
-  std::string domain = name_;
-  if (domain.size() > 4 && domain.compare(domain.size() - 4, 4, "-ems") == 0)
-    domain.resize(domain.size() - 4);
-  for (char& c : domain)
-    if (c == '-') c = '_';
-  const std::string prefix = "griphon_ems_" + domain + "_";
+  const std::string prefix = "griphon_ems_" + metric_domain() + "_";
   auto& m = telemetry_->metrics();
   commands_total_ =
       m.counter(prefix + "commands_total", "Commands executed by this EMS");
@@ -375,16 +378,12 @@ SimTime EmsServer::task_latency(const proto::Message& m) {
       // concurrently on their (disjoint) elements, so the batch costs the
       // slowest item, not the sum — that is the point of batching.
       SimTime worst{};
-      for (const auto& bytes : m.items) {
-        auto frame = proto::decode_frame(bytes);
-        if (!frame.ok()) continue;
-        worst = std::max(worst, ems->task_latency(frame.value().message));
-      }
+      for (const proto::PowerBalance& item : m.items)
+        worst = std::max(worst, (*this)(item));
       return worst;
     }
-    EmsServer* ems;
   };
-  return std::visit(Visitor{profile_, rng, this}, m);
+  return std::visit(Visitor{profile_, rng}, m);
 }
 
 Status EmsServer::apply(const proto::Message& m, std::uint64_t* aux) {
@@ -493,19 +492,8 @@ Status EmsServer::apply(const proto::Message& m, std::uint64_t* aux) {
       // Apply every coalesced item; the aggregated response carries the
       // first failure (items are stateless, so no partial-state concern).
       Status first = Status::success();
-      for (const auto& bytes : m.items) {
-        auto frame = proto::decode_frame(bytes);
-        if (!frame.ok()) {
-          if (first.ok()) first = Status{frame.error()};
-          continue;
-        }
-        if (std::holds_alternative<proto::EmsBatch>(frame.value().message)) {
-          if (first.ok())
-            first = Status{ErrorCode::kInvalidArgument,
-                           "ems: nested batch rejected"};
-          continue;
-        }
-        const Status s = ems.apply(frame.value().message, aux);
+      for (const proto::PowerBalance& item : m.items) {
+        const Status s = (*this)(item);
         if (first.ok() && !s.ok()) first = s;
       }
       return first;

@@ -70,6 +70,9 @@ class EmsServer {
   void manage_otn(otn::OtnLayer* layer);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  /// The name as metric and probe names spell the domain: without the
+  /// "-ems" suffix, any '-' as '_' ("roadm-ems" -> "roadm").
+  [[nodiscard]] std::string metric_domain() const;
   [[nodiscard]] std::size_t commands_executed() const noexcept {
     return executed_;
   }
@@ -107,8 +110,7 @@ class EmsServer {
   }
 
   /// Attach/detach a telemetry sink. Metrics are registered under
-  /// griphon_ems_<domain>_* where <domain> is the server name minus the
-  /// "-ems" suffix ("roadm-ems" -> roadm). Null = no-sink fast path.
+  /// griphon_ems_<metric_domain()>_*. Null = no-sink fast path.
   void set_telemetry(telemetry::Telemetry* telemetry);
 
  private:

@@ -255,9 +255,10 @@ Result<Message> decode_nte_port(ByteReader& r) {
 
 void encode(ByteWriter& w, const EmsBatch& m) {
   w.u32(static_cast<std::uint32_t>(m.items.size()));
-  for (const Bytes& item : m.items) {
-    w.u32(static_cast<std::uint32_t>(item.size()));
-    w.raw(item);
+  for (const PowerBalance& item : m.items) {
+    const Bytes frame = encode_frame(0, Message{item});
+    w.u32(static_cast<std::uint32_t>(frame.size()));
+    w.raw(frame);
   }
 }
 Result<Message> decode_ems_batch(ByteReader& r) {
@@ -267,19 +268,17 @@ Result<Message> decode_ems_batch(ByteReader& r) {
   for (std::uint32_t i = 0; i < count.value(); ++i) {
     auto len = r.u32();
     if (!len.ok()) return len.error();
-    if (r.remaining() < len.value())
+    auto bytes = r.raw(len.value());
+    if (!bytes.ok()) return bytes.error();
+    auto frame = decode_frame(bytes.value());
+    if (!frame.ok()) return frame.error();
+    const auto* item = std::get_if<PowerBalance>(&frame.value().message);
+    if (item == nullptr)
       return Error{ErrorCode::kInvalidArgument,
-                   "proto: truncated batch item"};
-    Bytes item;
-    item.reserve(len.value());
-    for (std::uint32_t b = 0; b < len.value(); ++b) {
-      auto byte = r.u8();
-      if (!byte.ok()) return byte.error();
-      item.push_back(byte.value());
-    }
-    m.items.push_back(std::move(item));
+                   "proto: batch item is not a power balance"};
+    m.items.push_back(*item);
   }
-  return Message{m};
+  return Message{std::move(m)};
 }
 
 void encode(ByteWriter& w, const AlarmEvent& m) {
@@ -448,12 +447,10 @@ std::uint64_t element_key(const Message& m) {
     }
     std::uint64_t operator()(const EmsBatch& v) {
       // A batch dialogues with the line system shared by its items; key it
-      // off the first item so batches over disjoint elements interleave.
+      // off the first item's link so batches over disjoint elements
+      // interleave.
       if (v.items.empty()) return 8ull << 56;
-      auto item = decode_frame(v.items.front());
-      if (!item.ok()) return 8ull << 56;
-      return (8ull << 56) |
-             (element_key(item.value().message) & ((1ull << 56) - 1));
+      return (8ull << 56) | (v.items.front().link.value() & ((1ull << 56) - 1));
     }
   };
   return std::visit(Visitor{}, m);

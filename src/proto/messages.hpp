@@ -116,16 +116,17 @@ struct NtePort {
   bool engage = true;
 };
 
-/// Several same-EMS commands coalesced into one management dialogue. Items
-/// are full encoded frames (request id 0 — correlation rides the batch's
-/// own id) so the payload codec needs no recursive variant. The EMS pays
-/// one management overhead for the whole batch and runs the items'
-/// optical tasks concurrently; the aggregated Response carries the first
-/// item error (success otherwise). Only commands without device state —
-/// today power balancing — are safe to coalesce, since a batch retried
-/// after a timeout replays or re-executes as one unit.
+/// Several power-balancing commands coalesced into one management
+/// dialogue. The EMS pays one management overhead for the whole batch and
+/// runs the items' optical tasks concurrently; the aggregated Response
+/// carries the first item error (success otherwise). Only commands without
+/// device state are safe to coalesce, since a batch retried after a
+/// timeout replays or re-executes as one unit — and power balancing is the
+/// only one. On the wire each item is a length-prefixed frame of its own
+/// (request id 0 — correlation rides the batch's id); the decoder rejects
+/// an item that is not a power balance.
 struct EmsBatch {
-  std::vector<Bytes> items;
+  std::vector<PowerBalance> items;
 };
 
 // --- response & events ----------------------------------------------------

@@ -64,6 +64,13 @@ Result<bool> ByteReader::boolean() {
   return v.value() == 1;
 }
 
+Result<Bytes> ByteReader::raw(std::size_t n) {
+  if (!have(n)) return truncated();
+  const auto first = buf_.begin() + static_cast<std::ptrdiff_t>(pos_);
+  pos_ += n;
+  return Bytes(first, first + static_cast<std::ptrdiff_t>(n));
+}
+
 Result<std::string> ByteReader::str() {
   auto len = u16();
   if (!len.ok()) return len.error();

@@ -74,6 +74,8 @@ class ByteReader {
   [[nodiscard]] Result<double> f64();
   [[nodiscard]] Result<bool> boolean();
   [[nodiscard]] Result<std::string> str();
+  /// The next `n` bytes, copied out.
+  [[nodiscard]] Result<Bytes> raw(std::size_t n);
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return buf_.size() - pos_;

@@ -10,10 +10,6 @@ namespace griphon::reopt {
 
 namespace {
 
-/// Every EMS domain whose circuit breaker can veto a campaign.
-constexpr const char* kEmsDomains[] = {"roadm-ems", "fxc-ems", "otn-ems",
-                                       "nte-ems"};
-
 /// Highest channel present, or kNoChannel. Cycle-break bridge channels
 /// live at the top of the spectrum, away from the compaction target zone.
 dwdm::ChannelIndex highest(const dwdm::ChannelSet& set) {
@@ -160,10 +156,11 @@ bool MigrationExecutor::should_abort(std::string* reason) const {
     *reason = "topology changed under the campaign (fiber cut or repair)";
     return true;
   }
-  for (const char* domain : kEmsDomains) {
-    if (controller_->ems_health().state(domain) ==
+  // Every EMS domain's circuit breaker can veto a campaign.
+  for (const ems::EmsServer* ems : controller_->model().ems_servers()) {
+    if (controller_->ems_health().state(ems->name()) ==
         core::EmsHealthTracker::BreakerState::kOpen) {
-      *reason = std::string("EMS circuit breaker open: ") + domain;
+      *reason = "EMS circuit breaker open: " + ems->name();
       return true;
     }
   }

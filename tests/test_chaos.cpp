@@ -554,6 +554,58 @@ TEST(Resync, DriftedConnectionIsReconfigured) {
   EXPECT_EQ(victim->active_connections(), 0u);
 }
 
+TEST(Resync, DriftedSubWavelengthConnectionIsReconfigured) {
+  core::TestbedScenario s(9);
+  std::optional<ConnectionId> id;
+  s.portal->connect(s.site_i, s.site_iv, rates::k1G,
+                    core::ProtectionMode::kUnprotected,
+                    [&](Result<ConnectionId> r) {
+                      ASSERT_TRUE(r.ok()) << r.error().message();
+                      id = r.value();
+                    });
+  s.engine.run();
+  ASSERT_TRUE(id.has_value());
+  const core::Connection& c = s.controller->connection(*id);
+  ASSERT_EQ(c.kind, core::ConnectionKind::kSubWavelength);
+  ASSERT_TRUE(c.odu.valid());
+
+  // The EMS restart wiped the FXC cross-connect that steers the source
+  // premises onto its OTN switch client port, and the NTE port at the far
+  // end.
+  fxc::Fxc& victim = s.model->fxc_at(c.src_pop);
+  const auto connects = victim.cross_connects();
+  ASSERT_EQ(connects.size(), 1u);
+  const std::pair<PortId, PortId> cc = connects.front();
+  ASSERT_TRUE(victim.disconnect(cc.first).ok());
+  dwdm::Muxponder& nte = s.model->nte(c.dst_site);
+  const std::size_t nte_port = c.dst_nte_port;
+  ASSERT_TRUE(nte.release_client_port(nte_port).ok());
+
+  const auto report = run_resync(s);
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->total_leaks(), 0u);
+  EXPECT_EQ(report->drifted_connections, 1u);
+  EXPECT_EQ(report->repair_commands, 2u);
+  // Both missing pieces were re-issued, the cross-connect onto the same
+  // OTN client port.
+  EXPECT_TRUE(victim.connected(cc.first));
+  EXPECT_EQ(victim.cross_connects(), connects);
+  EXPECT_TRUE(nte.port_in_use(nte_port));
+  EXPECT_EQ(s.controller->stats().resync_drift, 1u);
+
+  // A second audit finds nothing, and the connection releases normally.
+  const auto again = run_resync(s);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->repair_commands, 0u);
+  std::optional<Status> released;
+  s.portal->disconnect(*id, [&](Status st) { released = st; });
+  s.engine.run();
+  ASSERT_TRUE(released.has_value());
+  EXPECT_TRUE(released->ok());
+  EXPECT_EQ(victim.active_connections(), 0u);
+  EXPECT_FALSE(nte.port_in_use(nte_port));
+}
+
 // --- breaker integration: dead EMS -> fail fast -> recover ------------------
 
 TEST(BreakerIntegration, DeadEmsTripsBreakerThenServiceRecovers) {
@@ -612,6 +664,29 @@ TEST(BreakerIntegration, DeadEmsTripsBreakerThenServiceRecovers) {
   ASSERT_TRUE(released.has_value());
   EXPECT_TRUE(released->ok());
   EXPECT_TRUE(tel.metrics().invalid_names().empty());
+  s.model->attach_telemetry(nullptr);
+}
+
+TEST(BreakerIntegration, EventsOfACrashedEmsCarryItsDomainName) {
+  core::TestbedScenario s(11);
+  telemetry::Telemetry tel(&s.engine);
+  s.model->attach_telemetry(&tel);
+  s.model->roadm_ems().crash_restart(minutes(10));
+  s.portal->connect(s.site_i, s.site_iii, rates::k10G,
+                    core::ProtectionMode::kUnprotected,
+                    [](Result<ConnectionId>) {});
+  s.engine.run();
+
+  // Retries, the breaker opening while the EMS is down and closing after
+  // it is back all name the EMS by its server name: one process row per
+  // EMS in a Chrome trace, none for a "roadm-ems-ems".
+  const auto retries = tel.events().for_category("retry");
+  const auto breaker = tel.events().for_category("breaker");
+  ASSERT_FALSE(retries.empty());
+  ASSERT_FALSE(breaker.empty());
+  for (const auto* e : retries) EXPECT_EQ(e->actor, "roadm-ems");
+  for (const auto* e : breaker) EXPECT_EQ(e->actor, "roadm-ems");
+  EXPECT_GE(s.controller->ems_health().stats().opens, 1u);
   s.model->attach_telemetry(nullptr);
 }
 

@@ -368,8 +368,7 @@ Transcript run_transcript(std::uint64_t seed) {
       case 6: {
         proto::EmsBatch batch;
         for (std::int32_t ch = 0; ch < 3; ++ch)
-          batch.items.push_back(proto::encode_frame(
-              0, proto::Message{proto::PowerBalance{LinkId{pick(2)}, ch}}));
+          batch.items.push_back(proto::PowerBalance{LinkId{pick(2)}, ch});
         return batch;
       }
       case 7:

@@ -571,6 +571,24 @@ TEST(StandardProbes, CoverPoolsQueuesBreakersAndConnections) {
   sampler.sample_now();
   EXPECT_LT(sampler.series("ot_pool_free")->rollup().last, free0);
   EXPECT_DOUBLE_EQ(sampler.series("connections_active")->rollup().last, 1.0);
+  EXPECT_DOUBLE_EQ(sampler.series("ems_roadm_breaker_open")->rollup().last,
+                   0.0);
+
+  // The ROADM EMS dies: a setup against it times out until the breaker
+  // opens, and the probe must read the breaker the controller keys by the
+  // server's name.
+  s.model->roadm_ems().crash_restart(minutes(10));
+  s.portal->connect(s.site_i, s.site_iv, rates::k10G,
+                    core::ProtectionMode::kUnprotected,
+                    [](Result<ConnectionId>) {});
+  s.engine.run_until(s.engine.now() + minutes(8));
+  ASSERT_EQ(s.controller->ems_health().state(s.model->roadm_ems().name()),
+            core::EmsHealthTracker::BreakerState::kOpen);
+  sampler.sample_now();
+  EXPECT_DOUBLE_EQ(sampler.series("ems_roadm_breaker_open")->rollup().last,
+                   1.0);
+  EXPECT_DOUBLE_EQ(sampler.series("ems_fxc_breaker_open")->rollup().last,
+                   0.0);
   s.model->attach_telemetry(nullptr);
 }
 

@@ -122,8 +122,8 @@ std::vector<Message> message_corpus() {
   bare.source = "roadm/3";
   out.push_back(AlarmEvent{bare});
   EmsBatch batch;
-  batch.items.push_back(encode_frame(0, Message{PowerBalance{LinkId{12}, 7}}));
-  batch.items.push_back(encode_frame(0, Message{PowerBalance{LinkId{12}, 8}}));
+  batch.items.push_back(PowerBalance{LinkId{12}, 7});
+  batch.items.push_back(PowerBalance{LinkId{12}, 8});
   out.push_back(batch);
   return out;
 }
@@ -171,7 +171,11 @@ TEST_P(FrameRoundTrip, EncodeDecodeIdentity) {
   }
   if (const auto* m = std::get_if<EmsBatch>(&original)) {
     const auto& d = std::get<EmsBatch>(frame.value().message);
-    EXPECT_EQ(d.items, m->items);
+    ASSERT_EQ(d.items.size(), m->items.size());
+    for (std::size_t i = 0; i < d.items.size(); ++i) {
+      EXPECT_EQ(d.items[i].link, m->items[i].link);
+      EXPECT_EQ(d.items[i].channel, m->items[i].channel);
+    }
   }
 }
 
@@ -259,6 +263,24 @@ TEST(Frame, RejectsUnknownType) {
   b[6] = 0x7F;
   b[7] = 0x7F;
   EXPECT_FALSE(decode_frame(b).ok());
+}
+
+TEST(Frame, RejectsBatchItemThatIsNotAPowerBalance) {
+  // Only stateless power balancing may be coalesced: turn the one item of
+  // a well-formed batch into an OtTune (same 12-byte payload) by patching
+  // the nested frame's type field. Outer header 20 bytes, item count 4,
+  // item length 4, nested magic 4 + version 2: the type sits at 34.
+  EmsBatch batch;
+  batch.items.push_back(PowerBalance{LinkId{12}, 7});
+  Bytes b = encode_frame(1, Message{batch});
+  ASSERT_TRUE(decode_frame(b).ok());
+  ASSERT_EQ(b[34], 0x00);
+  ASSERT_EQ(b[35], static_cast<std::uint8_t>(MessageType::kPowerBalance));
+  b[35] = static_cast<std::uint8_t>(MessageType::kOtTune);
+  const auto frame = decode_frame(b);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_NE(frame.error().message().find("not a power balance"),
+            std::string::npos);
 }
 
 TEST(Frame, RejectsTruncatedPayload) {

@@ -50,6 +50,13 @@ Checks (DESIGN.md §10):
                    the only writer of the live-connection index and the
                    checker of the transition table (DESIGN.md §7). A
                    direct assignment would bypass both.
+  ems-domain-name  The EMS domain names "roadm-ems", "fxc-ems", "otn-ems"
+                   and "nte-ems" appear as string literals in src/ only
+                   where NetworkModel creates the EMS servers
+                   (src/core/network_model.cpp); everything else reads
+                   them from EmsServer::name(), so the controller's breaker
+                   keys, span actors and probes cannot drift apart.
+                   Comments are exempt.
 
 Usage:
     tools/griphon_lint.py [--report griphon_lint_report.txt] [paths...]
@@ -86,9 +93,10 @@ def repo_files(subdirs: tuple[str, ...], exts: tuple[str, ...]) -> list[str]:
     return sorted(out)
 
 
-def strip_comments(text: str) -> str:
-    """Blank out // and /* */ comments and string/char literals, preserving
-    line structure so reported line numbers stay exact."""
+def strip_comments(text: str, keep_strings: bool = False) -> str:
+    """Blank out // and /* */ comments and (unless `keep_strings`)
+    string/char literals, preserving line structure so reported line
+    numbers stay exact."""
 
     out: list[str] = []
     i, n = 0, len(text)
@@ -137,14 +145,14 @@ def strip_comments(text: str) -> str:
             out.append(c if c == "\n" else " ")
         elif state == "str":
             if c == "\\":
-                out.append("  ")
+                out.append(text[i:i + 2] if keep_strings else "  ")
                 i += 2
                 continue
             if c == '"':
                 state = "code"
                 out.append('"')
             else:
-                out.append(" " if c != "\n" else c)
+                out.append(c if keep_strings or c == "\n" else " ")
         elif state == "chr":
             if c == "\\":
                 out.append("  ")
@@ -630,6 +638,33 @@ def check_conn_state(findings: list[Finding]) -> None:
                 findings.append(f)
 
 
+# --- ems-domain-name --------------------------------------------------------
+
+EMS_DOMAIN_RE = re.compile(r'"(?:roadm|fxc|otn|nte)-ems"')
+EMS_DOMAIN_OWNER = os.path.join("src", "core", "network_model.cpp")
+
+
+def check_ems_domain_name(findings: list[Finding]) -> None:
+    for path in repo_files(("src",), (".cpp", ".hpp")):
+        if os.path.relpath(path, REPO_ROOT) == EMS_DOMAIN_OWNER:
+            continue
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read()
+        text = strip_comments(raw, keep_strings=True)
+        raw_lines = raw.splitlines()
+        for m in EMS_DOMAIN_RE.finditer(text):
+            f = Finding(
+                path,
+                line_of(text, m.start()),
+                "ems-domain-name",
+                f"EMS domain literal {m.group(0)} — read the name from the "
+                "EmsServer NetworkModel creates (EmsServer::name()) so every "
+                "key for the domain stays one spelling",
+            )
+            if not allowed(raw_lines, f):
+                findings.append(f)
+
+
 # --- self-test --------------------------------------------------------------
 
 # (fixture source, relative path, check, expected finding count). Each bad
@@ -687,6 +722,23 @@ SELF_TEST_FIXTURES = (
         "conn-state",
         2,  # inside set_state, comparisons and the waived line are fine
     ),
+    (
+        'const char* a = "roadm-ems";\n'
+        'f("fxc-ems", "otn-ems");\n'
+        '// a comment may say "nte-ems"\n'
+        '/* or "roadm-ems" */ const char* b = "nte-ems-x";\n'
+        'const char* c = "nte-ems";  '
+        "// griphon-lint: allow(ems-domain-name) fixture waiver\n",
+        os.path.join("src", "reopt", "fixture_ems_domain.cpp"),
+        "ems-domain-name",
+        3,  # comments, a longer literal and the waived line are fine
+    ),
+    (
+        'make_ems("roadm-ems");\n',
+        os.path.join("src", "core", "network_model.cpp"),
+        "ems-domain-name",
+        0,  # the one place the servers are named
+    ),
 )
 
 
@@ -707,6 +759,7 @@ def self_test() -> int:
             "detached-thread": check_detached_thread,
             "mutable-global": check_mutable_global,
             "conn-state": check_conn_state,
+            "ems-domain-name": check_ems_domain_name,
         }
         for source, rel, check, expected in SELF_TEST_FIXTURES:
             case_dir = os.path.join(tmp, os.path.dirname(rel))
@@ -744,6 +797,7 @@ CHECKS = {
     "detached-thread": check_detached_thread,
     "mutable-global": check_mutable_global,
     "conn-state": check_conn_state,
+    "ems-domain-name": check_ems_domain_name,
 }
 
 
