@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the computational hot paths of
 // the GRIPhoN controller and its substrates: the simulation engine, path
-// computation, RWA planning, protocol codecs and the EMS command round
-// trip. These bound how fast a production controller could make
-// decisions, independent of EMS latency.
+// computation, RWA planning, protocol codecs, the EMS command round trip
+// and the telemetry span an armed deployment records per command. These
+// bound how fast a production controller could make decisions,
+// independent of EMS latency.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/inventory.hpp"
@@ -16,6 +18,7 @@
 #include "proto/client.hpp"
 #include "proto/messages.hpp"
 #include "sim/engine.hpp"
+#include "telemetry/telemetry.hpp"
 #include "topology/builders.hpp"
 
 using namespace griphon;
@@ -166,6 +169,34 @@ void BM_FrameDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FrameDecode);
+
+// One EMS command's span with telemetry armed, as the controller records
+// it: opened under its connection's setup span with the command's name and
+// the EMS domain (a std::string the controller holds), closed with the
+// outcome. The store is cleared every 64k spans so the run's memory stays
+// bounded; the clear and the block allocations the store makes as it
+// grows are part of the cost.
+void BM_ArmedCommandSpan(benchmark::State& state) {
+  constexpr std::size_t kSpansPerClear = 1 << 16;
+  sim::Engine engine;
+  telemetry::Telemetry sink(&engine);
+  const std::string domain = "roadm-ems";
+  telemetry::SpanId setup =
+      sink.span_start("connection_setup", "controller", 1);
+  std::size_t recorded = 0;
+  for (auto _ : state) {
+    const telemetry::SpanId span =
+        sink.span_start("roadm.add_drop", domain, 0, setup);
+    sink.span_end(span, true);
+    if (++recorded == kSpansPerClear) {
+      recorded = 0;
+      sink.spans().clear();
+      setup = sink.span_start("connection_setup", "controller", 1);
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ArmedCommandSpan);
 
 void BM_ChannelSetIntersect(benchmark::State& state) {
   dwdm::ChannelSet a = dwdm::ChannelSet::all(80);

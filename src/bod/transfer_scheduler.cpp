@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <iterator>
 #include <sstream>
 
 #include "dwdm/muxponder.hpp"
@@ -14,6 +15,18 @@ namespace {
 /// Access-pipe pseudo-links live far above any real LinkId so the two key
 /// spaces can never collide in the calendar.
 constexpr std::uint64_t kAccessLinkBase = std::uint64_t{1} << 40;
+
+/// Why a submission was refused; indexes its `reason` label.
+enum class Refusal : std::uint8_t {
+  kNoPortal,
+  kInvalid,
+  kDeadline,
+  kCapacity,
+  kRateLimit,
+  kQuota
+};
+constexpr const char* kRefusalReasons[] = {
+    "no-portal", "invalid", "deadline", "capacity", "rate-limit", "quota"};
 
 }  // namespace
 
@@ -46,13 +59,10 @@ core::CustomerPortal* TransferScheduler::portal_of(CustomerId customer) const {
   return it == portals_.end() ? nullptr : it->second;
 }
 
-void TransferScheduler::count(const char* name, const char* help,
+void TransferScheduler::count(telemetry::KeyedCounters& family,
                               CustomerId customer) {
   if (telemetry::Telemetry* t = controller_->model().telemetry())
-    t->metrics()
-        .counter(name, help,
-                 {{"customer", std::to_string(customer.value())}})
-        ->inc();
+    family.in(t->metrics(), "customer", customer.value()).inc();
 }
 
 LinkId TransferScheduler::access_link(MuxponderId nte) {
@@ -122,18 +132,22 @@ Result<TransferScheduler::PiecePlan> TransferScheduler::plan_piece(
 
 Result<TransferId> TransferScheduler::submit(const TransferRequest& request) {
   ++stats_.submitted;
-  count("griphon_bod_transfers_submitted_total",
-        "Bulk transfers submitted to the scheduler", request.customer);
+  count(metrics_.submitted, request.customer);
 
-  const auto reject = [&](Error error, const char* reason) -> Error {
+  const auto reject = [&](Error error, Refusal why) -> Error {
     ++stats_.rejected;
-    if (telemetry::Telemetry* t = controller_->model().telemetry())
-      t->metrics()
-          .counter("griphon_bod_transfers_rejected_total",
-                   "Bulk transfers rejected at submission",
-                   {{"customer", std::to_string(request.customer.value())},
-                    {"reason", reason}})
-          ->inc();
+    if (telemetry::Telemetry* t = controller_->model().telemetry()) {
+      const auto reason = static_cast<std::size_t>(why);
+      metrics_.rejected
+          .in(t->metrics(),
+              request.customer.value() * std::size(kRefusalReasons) + reason,
+              [&] {
+                return telemetry::Labels{
+                    {"customer", std::to_string(request.customer.value())},
+                    {"reason", kRefusalReasons[reason]}};
+              })
+          .inc();
+    }
     return error;
   };
 
@@ -141,18 +155,18 @@ Result<TransferId> TransferScheduler::submit(const TransferRequest& request) {
   if (portal == nullptr)
     return reject(Error{ErrorCode::kPermissionDenied,
                         "scheduler: customer has no registered portal"},
-                  "no-portal");
+                  Refusal::kNoPortal);
   if (request.bytes <= 0 || request.deadline <= engine_->now())
     return reject(Error{ErrorCode::kInvalidArgument,
                         "scheduler: need positive volume and a future "
                         "deadline"},
-                  "invalid");
+                  Refusal::kInvalid);
   const auto* src = controller_->model().site_by_nte(request.src_site);
   const auto* dst = controller_->model().site_by_nte(request.dst_site);
   if (src == nullptr || dst == nullptr)
     return reject(
         Error{ErrorCode::kInvalidArgument, "scheduler: unknown site"},
-        "invalid");
+        Refusal::kInvalid);
 
   const SimTime now = engine_->now();
   const std::vector<LinkId> access = {access_link(request.src_site),
@@ -218,7 +232,7 @@ Result<TransferId> TransferScheduler::submit(const TransferRequest& request) {
                  best_single_end > SimTime{} ? best_single_end : latest_end)) +
              "s";
       return reject(Error{ErrorCode::kResourceExhausted, std::move(msg)},
-                    "deadline");
+                    Refusal::kDeadline);
     }
   }
   if (!fully_planned) {
@@ -229,7 +243,7 @@ Result<TransferId> TransferScheduler::submit(const TransferRequest& request) {
     if (last_error.empty())
       last_error = "scheduler: could not plan the transfer";
     return reject(Error{ErrorCode::kResourceExhausted, last_error},
-                  "capacity");
+                  Refusal::kCapacity);
   }
 
   // Admission: the customer commits the sum of its piece rates (worst-case
@@ -240,9 +254,9 @@ Result<TransferId> TransferScheduler::submit(const TransferRequest& request) {
           {request.customer, total, request.priority});
       !admitted.ok()) {
     roll_back();
-    const char* reason =
-        admitted.error().code() == ErrorCode::kBusy ? "rate-limit" : "quota";
-    return reject(admitted.error(), reason);
+    return reject(admitted.error(), admitted.error().code() == ErrorCode::kBusy
+                                        ? Refusal::kRateLimit
+                                        : Refusal::kQuota);
   }
   for (const Piece& p : pieces) admission_->commit(request.customer, p.rate);
 
@@ -258,8 +272,7 @@ Result<TransferId> TransferScheduler::submit(const TransferRequest& request) {
   const TransferId id = t.id;
   if (t.pieces.size() > 1) {
     ++stats_.splits;
-    count("griphon_bod_transfer_splits_total",
-          "Transfers that needed more than one calendar window", t.customer);
+    count(metrics_.splits, t.customer);
   }
   transfers_[id] = std::move(t);
   live_.insert(id);
@@ -267,8 +280,7 @@ Result<TransferId> TransferScheduler::submit(const TransferRequest& request) {
     schedule_setup(id, i);
 
   ++stats_.accepted;
-  count("griphon_bod_transfers_accepted_total",
-        "Bulk transfers accepted and scheduled", request.customer);
+  count(metrics_.accepted, request.customer);
   return id;
 }
 
@@ -348,9 +360,7 @@ void TransferScheduler::on_setup_result(TransferId id,
     // to half-open.
     ++p.defers;
     ++stats_.setups_deferred;
-    count("griphon_bod_setup_deferrals_total",
-          "Bundle setups deferred on an open EMS circuit breaker",
-          t.customer);
+    count(metrics_.deferrals, t.customer);
     engine_->schedule(params_.unavailable_defer,
                       [this, id, piece_index, epoch] {
                         const auto it2 = transfers_.find(id);
@@ -368,8 +378,7 @@ void TransferScheduler::on_setup_result(TransferId id,
     // Transient setup failure: back off linearly and retry inside the
     // reserved window (the setup_pad exists to absorb exactly this).
     ++stats_.setup_retries;
-    count("griphon_bod_setup_retries_total",
-          "Bundle setups retried after a failure", t.customer);
+    count(metrics_.retries, t.customer);
     engine_->schedule(params_.retry_backoff * p.attempts,
                       [this, id, piece_index, epoch] {
                         const auto it2 = transfers_.find(id);
@@ -414,16 +423,13 @@ void TransferScheduler::finish_piece(TransferId id, std::size_t piece_index) {
   live_.erase(id);
   t.completed_at = engine_->now();
   ++stats_.completed;
-  count("griphon_bod_transfers_completed_total",
-        "Bulk transfers that delivered every byte", t.customer);
+  count(metrics_.completed, t.customer);
   if (t.completed_at <= t.deadline) {
     ++stats_.deadline_met;
-    count("griphon_bod_deadlines_met_total",
-          "Transfers completed at or before their deadline", t.customer);
+    count(metrics_.deadlines_met, t.customer);
   } else {
     ++stats_.deadline_missed;
-    count("griphon_bod_deadlines_missed_total",
-          "Transfers completed after their deadline", t.customer);
+    count(metrics_.deadlines_missed, t.customer);
   }
 }
 
@@ -476,8 +482,7 @@ void TransferScheduler::reschedule_piece(TransferId id,
   admission_->commit(t.customer, p.rate);
   ++t.reschedules;
   ++stats_.reschedules;
-  count("griphon_bod_reschedules_total",
-        "Scheduled pieces re-planned after capacity loss", t.customer);
+  count(metrics_.reschedules, t.customer);
   schedule_setup(id, piece_index);
 }
 
@@ -499,8 +504,7 @@ void TransferScheduler::fail_transfer(Transfer& t, const std::string& why) {
   t.state = TransferState::kFailed;
   live_.erase(t.id);
   ++stats_.failed;
-  count("griphon_bod_transfers_failed_total",
-        "Bulk transfers abandoned before completion", t.customer);
+  count(metrics_.failed, t.customer);
   if (telemetry::Telemetry* tel = controller_->model().telemetry())
     tel->event(telemetry::Severity::kWarn, "bod", "transfer-scheduler",
                "transfer " + std::to_string(t.id.value()) + " failed: " + why);
@@ -635,9 +639,7 @@ std::size_t TransferScheduler::preempt_for_restoration(
       freed += p.rate;
       ++preempted;
       ++stats_.preempted;
-      count("griphon_bod_windows_preempted_total",
-            "Best-effort windows preempted by gold restorations",
-            t.customer);
+      count(metrics_.preempted, t.customer);
       if (telemetry::Telemetry* tel = controller_->model().telemetry())
         tel->event(telemetry::Severity::kWarn, "bod", "transfer-scheduler",
                    "transfer " + std::to_string(id.value()) + " piece " +

@@ -22,6 +22,7 @@
 #include "bod/admission.hpp"
 #include "bod/reservation_calendar.hpp"
 #include "core/portal.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace griphon::bod {
 
@@ -230,7 +231,45 @@ class TransferScheduler {
   void release_piece_resources(Transfer& t, Piece& p);
   void on_topology_change(const std::vector<LinkId>& links, bool failed);
 
-  void count(const char* name, const char* help, CustomerId customer);
+  /// Per-customer counter families, registered on first use: with
+  /// telemetry armed, a transfer event looks up nothing by name.
+  struct Metrics {
+    telemetry::KeyedCounters submitted{
+        "griphon_bod_transfers_submitted_total",
+        "Bulk transfers submitted to the scheduler"};
+    /// Keyed by customer and refusal reason.
+    telemetry::KeyedCounters rejected{"griphon_bod_transfers_rejected_total",
+                                      "Bulk transfers rejected at submission"};
+    telemetry::KeyedCounters splits{
+        "griphon_bod_transfer_splits_total",
+        "Transfers that needed more than one calendar window"};
+    telemetry::KeyedCounters accepted{"griphon_bod_transfers_accepted_total",
+                                      "Bulk transfers accepted and scheduled"};
+    telemetry::KeyedCounters deferrals{
+        "griphon_bod_setup_deferrals_total",
+        "Bundle setups deferred on an open EMS circuit breaker"};
+    telemetry::KeyedCounters retries{"griphon_bod_setup_retries_total",
+                                     "Bundle setups retried after a failure"};
+    telemetry::KeyedCounters completed{
+        "griphon_bod_transfers_completed_total",
+        "Bulk transfers that delivered every byte"};
+    telemetry::KeyedCounters deadlines_met{
+        "griphon_bod_deadlines_met_total",
+        "Transfers completed at or before their deadline"};
+    telemetry::KeyedCounters deadlines_missed{
+        "griphon_bod_deadlines_missed_total",
+        "Transfers completed after their deadline"};
+    telemetry::KeyedCounters reschedules{
+        "griphon_bod_reschedules_total",
+        "Scheduled pieces re-planned after capacity loss"};
+    telemetry::KeyedCounters failed{
+        "griphon_bod_transfers_failed_total",
+        "Bulk transfers abandoned before completion"};
+    telemetry::KeyedCounters preempted{
+        "griphon_bod_windows_preempted_total",
+        "Best-effort windows preempted by gold restorations"};
+  };
+  void count(telemetry::KeyedCounters& family, CustomerId customer);
   [[nodiscard]] core::CustomerPortal* portal_of(CustomerId customer) const;
 
   core::GriphonController* controller_;
@@ -245,6 +284,7 @@ class TransferScheduler {
   std::set<TransferId> live_;
   IdAllocator<TransferId> ids_;
   Stats stats_;
+  Metrics metrics_;
 };
 
 [[nodiscard]] constexpr const char* to_string(

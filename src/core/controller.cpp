@@ -5,6 +5,7 @@
 #include <iterator>
 #include <numeric>
 #include <sstream>
+#include <string_view>
 
 #include "telemetry/telemetry.hpp"
 
@@ -65,6 +66,11 @@ bool plan_uses_any(const WavelengthPlan& plan,
 /// NACKs and device faults are deterministic — retrying burns time.
 bool command_retryable(ErrorCode code) {
   return code == ErrorCode::kTimeout || code == ErrorCode::kBusy;
+}
+
+/// A span's detail for `s`: the error text, or none on success.
+std::string_view span_detail(const Status& s) {
+  return s.ok() ? std::string_view{} : std::string_view{s.error().message()};
 }
 
 /// Concatenate two step lists, re-basing the appended list's dependency
@@ -465,8 +471,7 @@ void GriphonController::pump_dag(const std::shared_ptr<RunState>& state) {
           const Status s = response_to_status(r);
           if (span != 0)
             if (telemetry::Telemetry* t = model_->telemetry())
-              t->span_end(span, s.ok(),
-                          s.ok() ? std::string{} : s.error().message());
+              t->span_end(span, s.ok(), span_detail(s));
           const double end_s =
               to_seconds(model_->engine().now() - state->run_start);
           for (const std::size_t j : members) {
@@ -826,20 +831,24 @@ StepList GriphonController::build_wavelength_teardown(
 }
 
 StepList GriphonController::build_release(const Connection& c) const {
+  // The dark step of each side: a wavelength teardown deactivates its
+  // source and destination OTs first (steps 0 and 1); a sub-wavelength
+  // service goes dark with its ODU release (step 0) on both sides.
   const bool wavelength = c.kind == ConnectionKind::kWavelength;
   StepList steps;
-  if (wavelength) steps = build_wavelength_teardown(c.plan);
-  // Access: each cross-connect, then the NTE port it steered. On a
-  // wavelength the cross-connect unwinds after its side went dark (the
-  // teardown's first two steps deactivate the OTs) and the NTE port only
-  // after the cross-connect is gone; a sub-wavelength release runs them
-  // unordered.
+  std::size_t dark_src = 0;
+  std::size_t dark_dst = 0;
+  if (wavelength) {
+    steps = build_wavelength_teardown(c.plan);
+    dark_dst = 1;
+  } else {
+    proto::OtnOp release;
+    release.op = proto::OtnOp::Op::kRelease;
+    release.circuit = c.odu;
+    steps.push_back(Step{&model_->otn_ems_client(), release, std::nullopt});
+  }
   auto* fxc_client = &model_->fxc_ems_client();
   auto* nte_client = &model_->nte_ems_client();
-  auto after = [&](std::size_t step) {
-    return wavelength ? std::vector<std::size_t>{step}
-                      : std::vector<std::size_t>{};
-  };
   auto unsteer = [&](NodeId pop, MuxponderId site, std::size_t nte_port,
                      std::size_t dark_step) {
     fxc::Fxc& f = model_->fxc_at(pop);
@@ -847,28 +856,22 @@ StepList GriphonController::build_release(const Connection& c) const {
                                    site.value(), nte_port);
     assert(access);
     steps.push_back(Step{fxc_client, proto::FxcDisconnect{f.id(), *access},
-                         std::nullopt, after(dark_step)});
+                         std::nullopt, {dark_step}});
   };
   const std::size_t fxc_src = steps.size();
-  unsteer(c.src_pop, c.src_site, c.src_nte_port, 0);
+  unsteer(c.src_pop, c.src_site, c.src_nte_port, dark_src);
   const std::size_t fxc_dst = steps.size();
-  unsteer(c.dst_pop, c.dst_site, c.dst_nte_port, 1);
+  unsteer(c.dst_pop, c.dst_site, c.dst_nte_port, dark_dst);
   auto nte_off = [&](MuxponderId site, std::size_t port, std::size_t fxc_step) {
     steps.push_back(
         Step{nte_client,
              proto::NtePort{site, static_cast<std::uint32_t>(port), false},
-             std::nullopt, after(fxc_step)});
+             std::nullopt, {fxc_step}});
   };
   nte_off(c.src_site, c.src_nte_port, fxc_src);
   nte_off(c.dst_site, c.dst_nte_port, fxc_dst);
-  if (!wavelength) {
-    proto::OtnOp release;
-    release.op = proto::OtnOp::Op::kRelease;
-    release.circuit = c.odu;
-    steps.push_back(Step{&model_->otn_ems_client(), release, std::nullopt});
-  } else if (c.standby) {
+  if (wavelength && c.standby)
     append_steps(steps, build_wavelength_teardown(*c.standby));
-  }
   return steps;
 }
 
@@ -964,10 +967,7 @@ void GriphonController::request_connection(const ConnectionRequest& request,
   if (telemetry::Telemetry* t = model_->telemetry()) {
     rec.setup_span = t->span_start(
         "connection_setup", "controller", telemetry_tag(id), 0);
-    t->metrics()
-        .counter("griphon_controller_requests_total",
-                 "Connection requests accepted for orchestration")
-        ->inc();
+    metrics_.requests.in(t->metrics()).inc();
     t->event(telemetry::Severity::kInfo, "lifecycle", "controller",
              "connection " + std::to_string(id.value()) + " requested",
              telemetry_tag(id));
@@ -986,26 +986,14 @@ void GriphonController::finish_setup(ConnectionId id, Status status,
     return;
   }
   if (telemetry::Telemetry* t = model_->telemetry()) {
-    t->span_end(c->setup_span, status.ok(),
-                status.ok() ? std::string{} : status.error().message());
+    t->span_end(c->setup_span, status.ok(), span_detail(status));
     c->setup_span = 0;
     auto& m = t->metrics();
-    const char* name = status.ok() ? "griphon_controller_setups_ok_total"
-                                   : "griphon_controller_setups_failed_total";
-    const char* help = status.ok()
-                           ? "Connection setups completed"
-                           : "Connection setups failed and rolled back";
-    m.counter(name, help)->inc();
-    // Per-customer series: customer isolation must be observable.
-    m.counter(name, help,
-              {{"customer", std::to_string(c->customer.value())}})
-        ->inc();
+    (status.ok() ? metrics_.setups_ok : metrics_.setups_failed)
+        .inc(m, c->customer);
     const double setup_s =
         to_seconds(model_->engine().now() - c->requested_at);
-    if (status.ok())
-      m.histogram("griphon_controller_setup_seconds",
-                  "Request to traffic-flowing, end to end")
-          ->observe(setup_s);
+    if (status.ok()) metrics_.setup_seconds.in(m).observe(setup_s);
     if (status.ok())
       t->event(telemetry::Severity::kInfo, "lifecycle", "controller",
                "connection " + std::to_string(id.value()) + " active after " +
@@ -1194,8 +1182,7 @@ void GriphonController::send_otn_create(ConnectionId id, SetupCallback cb,
        cb = std::move(cb)](Result<proto::Response> r) mutable {
         const Status s = response_to_status(r);
         if (telemetry::Telemetry* t = model_->telemetry())
-          t->span_end(span, s.ok(),
-                      s.ok() ? std::string{} : s.error().message());
+          t->span_end(span, s.ok(), span_detail(s));
         if (!s.ok()) {
           Connection* c = find_conn(id);
           if (s.error().code() == ErrorCode::kUnreachable && allow_groom &&
@@ -1389,12 +1376,7 @@ void GriphonController::release_connection(ConnectionId id, DoneCallback cb) {
     if (telemetry::Telemetry* t = model_->telemetry()) {
       t->span_end(c->op_span, status.ok());
       c->op_span = 0;
-      auto& m = t->metrics();
-      m.counter("griphon_controller_releases_total", "Connections released")
-          ->inc();
-      m.counter("griphon_controller_releases_total", "Connections released",
-                {{"customer", std::to_string(c->customer.value())}})
-          ->inc();
+      metrics_.releases.inc(t->metrics(), c->customer);
       t->event(telemetry::Severity::kInfo, "lifecycle", "controller",
                "connection " + std::to_string(id.value()) + " released",
                telemetry_tag(id));

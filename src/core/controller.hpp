@@ -32,6 +32,7 @@
 #include "core/network_model.hpp"
 #include "core/rwa.hpp"
 #include "core/step_dag.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace griphon::core {
 
@@ -302,6 +303,12 @@ class GriphonController {
     return last_dag_report_;
   }
 
+  /// The command train that unwinds everything `c` owns: a wavelength's
+  /// path, access and 1+1 standby leg; a sub-wavelength service's ODU
+  /// circuit and access. For both kinds the service goes dark first, then
+  /// each cross-connect, then the NTE port that cross-connect steered.
+  [[nodiscard]] StepList build_release(const Connection& c) const;
+
  private:
   // Step/StepList live in core/step_dag.hpp — builders attach dependency
   // edges there and the DAG executor consumes them.
@@ -357,11 +364,6 @@ class GriphonController {
   /// them onto the service: the endpoint transponders of `c.plan` for a
   /// wavelength, the OTN switch client ports of `c.odu` otherwise.
   [[nodiscard]] StepList build_access_setup(const Connection& c) const;
-  /// Everything a connection owns, unwound: a wavelength's path, its
-  /// access and its 1+1 standby leg; a sub-wavelength service's access and
-  /// its ODU circuit.
-  [[nodiscard]] StepList build_release(const Connection& c) const;
-
   // Reservation bookkeeping around a plan.
   void reserve_plan(const WavelengthPlan& plan);
   void unreserve_plan(const WavelengthPlan& plan);
@@ -461,6 +463,37 @@ class GriphonController {
   IdAllocator<ConnectionId> ids_;
   Stats stats_;
   StepDagReport last_dag_report_;
+
+  /// A counter kept twice per event: the fleet-wide series and the
+  /// customer's own (customer isolation must be observable).
+  struct CustomerCounter {
+    CustomerCounter(const char* name, const char* help) noexcept
+        : total(name, help), by_customer(name, help) {}
+    void inc(telemetry::MetricsRegistry& m, CustomerId customer) {
+      total.in(m).inc();
+      by_customer.in(m, "customer", customer.value()).inc();
+    }
+    telemetry::CachedCounter total;
+    telemetry::KeyedCounters by_customer;
+  };
+  /// Metric handles of the per-connection paths, registered on first use:
+  /// with telemetry armed, a request, setup or release looks up nothing
+  /// by name.
+  struct ConnectionMetrics {
+    telemetry::CachedCounter requests{
+        "griphon_controller_requests_total",
+        "Connection requests accepted for orchestration"};
+    CustomerCounter setups_ok{"griphon_controller_setups_ok_total",
+                              "Connection setups completed"};
+    CustomerCounter setups_failed{"griphon_controller_setups_failed_total",
+                                  "Connection setups failed and rolled back"};
+    telemetry::CachedHistogram setup_seconds{
+        "griphon_controller_setup_seconds",
+        "Request to traffic-flowing, end to end"};
+    CustomerCounter releases{"griphon_controller_releases_total",
+                             "Connections released"};
+  };
+  ConnectionMetrics metrics_;
 };
 
 }  // namespace griphon::core

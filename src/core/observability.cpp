@@ -53,18 +53,21 @@ void install_standard_probes(telemetry::GaugeSampler& sampler,
                       });
   }
 
-  sampler.add_probe("route_cache_hit_rate", "ratio", [&model] {
-    telemetry::Telemetry* t = model.telemetry();
-    if (t == nullptr) return 0.0;
-    const auto* hits =
-        t->metrics().find_counter("griphon_rwa_route_cache_hits_total");
-    const auto* misses =
-        t->metrics().find_counter("griphon_rwa_route_cache_misses_total");
-    const double h = hits == nullptr ? 0 : static_cast<double>(hits->value());
-    const double m =
-        misses == nullptr ? 0 : static_cast<double>(misses->value());
-    return h + m == 0 ? 0.0 : h / (h + m);
-  });
+  using CounterLookup = telemetry::CachedLookup<const telemetry::Counter*>;
+  sampler.add_probe(
+      "route_cache_hit_rate", "ratio",
+      [&model, hits = CounterLookup("griphon_rwa_route_cache_hits_total"),
+       misses = CounterLookup("griphon_rwa_route_cache_misses_total")]()
+          mutable {
+        telemetry::Telemetry* t = model.telemetry();
+        if (t == nullptr) return 0.0;
+        const auto value = [](const telemetry::Counter* c) {
+          return c == nullptr ? 0.0 : static_cast<double>(c->value());
+        };
+        const double h = value(hits(t->metrics()));
+        const double m = value(misses(t->metrics()));
+        return h + m == 0 ? 0.0 : h / (h + m);
+      });
 
   sampler.add_probe("connections_active", "count", [&controller] {
     return static_cast<double>(controller.active_connections());

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,18 +21,9 @@ using Bytes = std::vector<std::uint8_t>;
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) {
-    u8(static_cast<std::uint8_t>(v >> 8));
-    u8(static_cast<std::uint8_t>(v));
-  }
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v >> 16));
-    u16(static_cast<std::uint16_t>(v));
-  }
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v >> 32));
-    u32(static_cast<std::uint32_t>(v));
-  }
+  void u16(std::uint16_t v) { put_be(v); }
+  void u32(std::uint32_t v) { put_be(v); }
+  void u64(std::uint64_t v) { put_be(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) {
@@ -40,7 +32,12 @@ class ByteWriter {
     u64(bits);
   }
   void boolean(bool v) { u8(v ? 1 : 0); }
+  /// Throws std::length_error past kMaxString bytes: the u16 length
+  /// prefix cannot say more, and a truncated one would desync the frame.
   void str(const std::string& s) {
+    if (s.size() > kMaxString)
+      throw std::length_error("wire: string of " + std::to_string(s.size()) +
+                              " bytes exceeds the u16 length prefix");
     u16(static_cast<std::uint16_t>(s.size()));
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
@@ -57,7 +54,21 @@ class ByteWriter {
   [[nodiscard]] Bytes take() noexcept { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
 
+  /// Longest string str() can frame.
+  static constexpr std::size_t kMaxString = 0xFFFF;
+
  private:
+  /// Grow the buffer once and store `v` big-endian.
+  template <typename T>
+  void put_be(T v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof v);
+    for (std::size_t i = sizeof v; i-- > 0;) {
+      buf_[at + i] = static_cast<std::uint8_t>(v);
+      v = static_cast<T>(v >> 8);
+    }
+  }
+
   Bytes buf_;
 };
 

@@ -46,6 +46,18 @@ std::vector<double> duration_buckets() {
           120.0, 180.0, 300.0};
 }
 
+namespace {
+
+/// One thread: a plain counter hands out process-unique registry ids.
+std::uint64_t next_registry_id() noexcept {
+  static std::uint64_t last = 0;
+  return ++last;
+}
+
+}  // namespace
+
+MetricsRegistry::MetricsRegistry() : id_(next_registry_id()) {}
+
 std::string MetricsRegistry::label_key(const Labels& labels) {
   if (labels.empty()) return {};
   Labels sorted = labels;
@@ -71,6 +83,7 @@ std::string MetricsRegistry::label_key(const Labels& labels) {
 
 MetricsRegistry::Family& MetricsRegistry::family_for(
     const std::string& name, const std::string& help, Kind kind) {
+  ++by_name_calls_;
   auto& f = families_[name];
   if (f.samples.empty()) {
     f.kind = kind;
@@ -118,6 +131,7 @@ Histogram* MetricsRegistry::histogram(const std::string& name,
 
 const MetricsRegistry::Sample* MetricsRegistry::find_sample(
     const std::string& name, const Labels& labels) const {
+  ++by_name_calls_;
   const auto it = families_.find(name);
   if (it == families_.end()) return nullptr;
   const auto sit = it->second.samples.find(label_key(labels));
@@ -142,13 +156,15 @@ const Histogram* MetricsRegistry::find_histogram(const std::string& name,
   return s == nullptr ? nullptr : s->h.get();
 }
 
-double MetricsRegistry::counter_family_sum(const std::string& name) const {
+std::vector<const Counter*> MetricsRegistry::counter_family(
+    const std::string& name) const {
+  ++by_name_calls_;
+  std::vector<const Counter*> out;
   const auto it = families_.find(name);
-  if (it == families_.end() || it->second.kind != Kind::kCounter) return 0;
-  double sum = 0;
-  for (const auto& [labels, s] : it->second.samples)
-    sum += static_cast<double>(s.c->value());
-  return sum;
+  if (it == families_.end() || it->second.kind != Kind::kCounter) return out;
+  out.reserve(it->second.samples.size());
+  for (const auto& [labels, s] : it->second.samples) out.push_back(s.c.get());
+  return out;
 }
 
 namespace {

@@ -9,8 +9,10 @@
 //
 // Handles returned by counter()/gauge()/histogram() are stable for the
 // registry's lifetime, so hot paths register once and increment through a
-// cached pointer. A component whose deployment has no telemetry attached
-// never touches the registry at all — that is the no-sink fast path.
+// cached pointer (CachedCounter, CachedHistogram, KeyedCounters and
+// CachedLookup below do the caching). A component whose deployment has no
+// telemetry attached never touches the registry at all — that is the
+// no-sink fast path.
 //
 // Metrics may carry labels (e.g. {customer="3"}): each distinct label set
 // is its own independently incremented series under the family name. The
@@ -22,6 +24,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -90,6 +94,11 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 
 class MetricsRegistry {
  public:
+  MetricsRegistry();
+  // Cached handles are keyed by id(); a copy would share it.
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
   /// Register (or fetch) a metric series. Registration is idempotent: the
   /// same (name, labels) always returns the same handle. Registering a
   /// name twice with a different metric kind throws std::logic_error.
@@ -111,10 +120,20 @@ class MetricsRegistry {
                                         const Labels& labels = {}) const;
   [[nodiscard]] const Histogram* find_histogram(
       const std::string& name, const Labels& labels = {}) const;
-  /// Sum of every series' value in a counter family (0 if the family is
-  /// absent or not a counter family) — the fleet-wide total for families
-  /// that only register labeled series.
-  [[nodiscard]] double counter_family_sum(const std::string& name) const;
+  /// Every series of a counter family, in label order (empty if the
+  /// family is absent or not a counter family).
+  [[nodiscard]] std::vector<const Counter*> counter_family(
+      const std::string& name) const;
+  /// Calls so far that resolved a metric by name: counter(), gauge(),
+  /// histogram(), find_*() and counter_family(). Armed hot paths go
+  /// through cached handles instead, and tests hold them to it.
+  [[nodiscard]] std::uint64_t by_name_calls() const noexcept {
+    return by_name_calls_;
+  }
+  /// Unique per registry and never reused within a process, so a handle
+  /// cached under one id can never be mistaken for one of another
+  /// registry, even one built at the same address.
+  [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
 
   /// Prometheus text exposition format (# HELP / # TYPE / samples).
   [[nodiscard]] std::string to_prometheus() const;
@@ -153,6 +172,108 @@ class MetricsRegistry {
   // Ordered map: exposition output is sorted and therefore diffable.
   std::map<std::string, Family> families_;
   std::size_t series_ = 0;
+  std::uint64_t id_;
+  mutable std::uint64_t by_name_calls_ = 0;
+};
+
+/// One unlabeled counter or duration histogram (duration_buckets()),
+/// registered by name on its first use and reached through the cached
+/// handle after that; used with another registry it registers there.
+/// Registering on first use (not up front) keeps the exposition free of
+/// series nothing has counted.
+template <typename Metric>
+class Cached {
+ public:
+  Cached(const char* name, const char* help) noexcept
+      : name_(name), help_(help) {}
+  Metric& in(MetricsRegistry& m) {
+    if (m.id() != registry_) {
+      if constexpr (std::is_same_v<Metric, Counter>)
+        handle_ = m.counter(name_, help_);
+      else
+        handle_ = m.histogram(name_, help_);
+      registry_ = m.id();
+    }
+    return *handle_;
+  }
+
+ private:
+  const char* name_;
+  const char* help_;
+  std::uint64_t registry_ = 0;  ///< 0: no registry seen yet
+  Metric* handle_ = nullptr;
+};
+using CachedCounter = Cached<Counter>;
+using CachedHistogram = Cached<Histogram>;
+
+/// Cached series of one labeled counter family, one per integer key (a
+/// customer id, say). A key's first use registers its series by name with
+/// the labels `labels_of()` builds; later uses cost one integer hash.
+class KeyedCounters {
+ public:
+  KeyedCounters(const char* name, const char* help) noexcept
+      : name_(name), help_(help) {}
+
+  template <typename LabelsOf>
+  Counter& in(MetricsRegistry& m, std::uint64_t key, LabelsOf&& labels_of) {
+    if (m.id() != registry_) {
+      series_.clear();
+      registry_ = m.id();
+    }
+    auto [it, fresh] = series_.try_emplace(key, nullptr);
+    if (fresh) it->second = m.counter(name_, help_, labels_of());
+    return *it->second;
+  }
+  /// The common case: the key is the value of the family's one label.
+  Counter& in(MetricsRegistry& m, const char* label, std::uint64_t key) {
+    return in(m, key, [&] { return Labels{{label, std::to_string(key)}}; });
+  }
+
+ private:
+  const char* name_;
+  const char* help_;
+  std::uint64_t registry_ = 0;
+  std::unordered_map<std::uint64_t, Counter*> series_;
+};
+
+/// A by-name lookup whose answer is kept until it could have changed: it
+/// reruns only against another registry or after a series was
+/// registered. Handles never move and series are never removed, so an
+/// unchanged registry gives the same answer. For metrics read on every
+/// tick of a sampler or monitor, where the metric may not exist yet. `T`
+/// picks the lookup: `const Counter*` (find_counter), `const Gauge*`
+/// (find_gauge), `const Histogram*` (find_histogram) or
+/// `std::vector<const Counter*>` (counter_family).
+template <typename T>
+class CachedLookup {
+ public:
+  explicit CachedLookup(std::string name) : name_(std::move(name)) {}
+
+  const T& operator()(const MetricsRegistry& m) {
+    if (m.id() != registry_ || m.size() != size_) {
+      value_ = find(m);
+      registry_ = m.id();
+      size_ = m.size();
+    }
+    return value_;
+  }
+
+ private:
+  T find(const MetricsRegistry& m) const {
+    if constexpr (std::is_same_v<T, const Counter*>)
+      return m.find_counter(name_);
+    else if constexpr (std::is_same_v<T, const Gauge*>)
+      return m.find_gauge(name_);
+    else if constexpr (std::is_same_v<T, const Histogram*>)
+      return m.find_histogram(name_);
+    else
+      return m.counter_family(name_);
+  }
+
+  std::string name_;
+  std::uint64_t registry_ = 0;
+  std::size_t size_ = 0;
+  T value_{};
 };
 
 }  // namespace griphon::telemetry

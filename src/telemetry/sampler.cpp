@@ -142,11 +142,13 @@ void GaugeSampler::sample_now() {
     p.series.push(now, std::isfinite(v) ? v : 0.0);
   }
   ++ticks_;
-  if (telemetry_ != nullptr)
-    telemetry_->metrics()
-        .counter("griphon_sampler_ticks_total",
-                 "Sampling ticks taken by the gauge sampler")
-        ->inc();
+  if (telemetry_ != nullptr) {
+    if (ticks_total_ == nullptr)
+      ticks_total_ = telemetry_->metrics().counter(
+          "griphon_sampler_ticks_total",
+          "Sampling ticks taken by the gauge sampler");
+    ticks_total_->inc();
+  }
 }
 
 std::vector<std::string> GaugeSampler::names() const {

@@ -27,6 +27,7 @@
 
 namespace griphon::telemetry {
 
+class Counter;
 class Telemetry;
 
 /// Bounded ring of (sim time, value) points with cumulative rollups.
@@ -131,6 +132,7 @@ class GaugeSampler {
 
   sim::Engine* engine_;
   Telemetry* telemetry_;
+  Counter* ticks_total_ = nullptr;  ///< registered on the first tick
   std::size_t ring_capacity_;
   std::vector<Probe> probes_;  // registration order (stable export order)
   bool running_ = false;

@@ -12,13 +12,13 @@ namespace griphon::telemetry {
 void SloMonitor::add_objective(Objective objective) {
   State s;
   s.objective = std::move(objective);
+  if (telemetry_ != nullptr) {
+    s.alert_active = telemetry_->metrics().gauge(
+        "griphon_slo_alert_active", "1 while the objective's alert is firing",
+        {{"objective", s.objective.name}});
+    s.alert_active->set(0);
+  }
   objectives_.push_back(std::move(s));
-  if (telemetry_ != nullptr)
-    telemetry_->metrics()
-        .gauge("griphon_slo_alert_active",
-               "1 while the objective's alert is firing",
-               {{"objective", objectives_.back().objective.name}})
-        ->set(0);
 }
 
 void SloMonitor::start(SimTime period) {
@@ -45,11 +45,12 @@ void SloMonitor::schedule_tick() {
 
 std::size_t SloMonitor::evaluate_now() {
   for (State& s : objectives_) evaluate(s);
-  if (telemetry_ != nullptr)
-    telemetry_->metrics()
-        .counter("griphon_slo_evaluations_total",
-                 "SLO evaluation sweeps performed")
-        ->inc();
+  if (telemetry_ != nullptr) {
+    if (evaluations_ == nullptr)
+      evaluations_ = telemetry_->metrics().counter(
+          "griphon_slo_evaluations_total", "SLO evaluation sweeps performed");
+    evaluations_->inc();
+  }
   return active_alerts();
 }
 
@@ -60,29 +61,28 @@ void SloMonitor::evaluate(State& s) {
   s.has_value = true;
   const bool ok = v <= s.objective.bound;
   Telemetry* t = telemetry_;
-  const Labels labels{{"objective", s.objective.name}};
+  const auto labels = [&s] { return Labels{{"objective", s.objective.name}}; };
   if (!ok) {
     s.good_streak = 0;
     ++s.bad_streak;
-    if (t != nullptr)
-      t->metrics()
-          .counter("griphon_slo_violations_total",
-                   "Evaluations that measured the objective out of bound",
-                   labels)
-          ->inc();
+    if (t != nullptr) {
+      if (s.violations == nullptr)
+        s.violations = t->metrics().counter(
+            "griphon_slo_violations_total",
+            "Evaluations that measured the objective out of bound", labels());
+      s.violations->inc();
+    }
     if (!s.alerting && s.bad_streak >= s.objective.trip_after) {
       s.alerting = true;
       ++s.fired;
       if (t != nullptr) {
-        t->metrics()
-            .counter("griphon_slo_alerts_fired_total",
-                     "Alerts fired after trip_after consecutive violations",
-                     labels)
-            ->inc();
-        t->metrics()
-            .gauge("griphon_slo_alert_active",
-                   "1 while the objective's alert is firing", labels)
-            ->set(1);
+        if (s.alerts_fired == nullptr)
+          s.alerts_fired = t->metrics().counter(
+              "griphon_slo_alerts_fired_total",
+              "Alerts fired after trip_after consecutive violations",
+              labels());
+        s.alerts_fired->inc();
+        s.alert_active->set(1);
         std::ostringstream msg;
         msg << s.objective.name << " out of budget: " << std::fixed
             << std::setprecision(3) << v << " > " << s.objective.bound
@@ -96,10 +96,7 @@ void SloMonitor::evaluate(State& s) {
     if (s.alerting && s.good_streak >= s.objective.clear_after) {
       s.alerting = false;
       if (t != nullptr) {
-        t->metrics()
-            .gauge("griphon_slo_alert_active",
-                   "1 while the objective's alert is firing", labels)
-            ->set(0);
+        s.alert_active->set(0);
         std::ostringstream msg;
         msg << s.objective.name << " back in budget: " << std::fixed
             << std::setprecision(3) << v << " <= " << s.objective.bound;
@@ -160,16 +157,34 @@ std::string SloMonitor::render() const {
 // --- canonical objectives ---------------------------------------------------
 
 namespace {
-double histogram_p95(const MetricsRegistry& m, const std::string& name) {
-  const Histogram* h = m.find_histogram(name);
-  if (h == nullptr || h->count() == 0) return std::nan("");
-  return h->quantile(0.95);
+
+/// p95 of a duration histogram; NaN while it is absent or empty.
+std::function<double()> histogram_p95(const MetricsRegistry& m,
+                                      const char* name) {
+  return [&m, h = CachedLookup<const Histogram*>(name)]()
+             mutable {
+    const Histogram* found = h(m);
+    return found == nullptr || found->count() == 0 ? std::nan("")
+                                                   : found->quantile(0.95);
+  };
 }
 
-double counter_value(const MetricsRegistry& m, const std::string& name) {
-  const Counter* c = m.find_counter(name);
+double value_of(const Counter* c) {
   return c == nullptr ? 0.0 : static_cast<double>(c->value());
 }
+
+double sum_of(const std::vector<const Counter*>& family) {
+  double sum = 0;
+  for (const Counter* c : family) sum += value_of(c);
+  return sum;
+}
+
+/// bad / (good + bad); NaN while both are zero.
+double share(double good, double bad) {
+  const double total = good + bad;
+  return total == 0 ? std::nan("") : bad / total;
+}
+
 }  // namespace
 
 Objective setup_latency_objective(const MetricsRegistry& m,
@@ -178,9 +193,7 @@ Objective setup_latency_objective(const MetricsRegistry& m,
   o.name = "setup_latency_p95";
   o.description = "connection setup p95 within the paper's budget";
   o.bound = budget_seconds;
-  o.value = [&m] {
-    return histogram_p95(m, "griphon_controller_setup_seconds");
-  };
+  o.value = histogram_p95(m, "griphon_controller_setup_seconds");
   return o;
 }
 
@@ -190,9 +203,7 @@ Objective restoration_time_objective(const MetricsRegistry& m,
   o.name = "restoration_time_p95";
   o.description = "restoration p95 within the paper's budget";
   o.bound = budget_seconds;
-  o.value = [&m] {
-    return histogram_p95(m, "griphon_controller_restore_seconds");
-  };
+  o.value = histogram_p95(m, "griphon_controller_restore_seconds");
   return o;
 }
 
@@ -201,12 +212,12 @@ Objective blocking_rate_objective(const MetricsRegistry& m, double ceiling) {
   o.name = "blocking_rate";
   o.description = "share of setups refused or failed";
   o.bound = ceiling;
-  o.value = [&m] {
-    const double ok = counter_value(m, "griphon_controller_setups_ok_total");
-    const double bad =
-        counter_value(m, "griphon_controller_setups_failed_total");
-    const double total = ok + bad;
-    return total == 0 ? std::nan("") : bad / total;
+  o.value = [&m,
+             ok = CachedLookup<const Counter*>(
+                 "griphon_controller_setups_ok_total"),
+             bad = CachedLookup<const Counter*>(
+                 "griphon_controller_setups_failed_total")]() mutable {
+    return share(value_of(ok(m)), value_of(bad(m)));
   };
   return o;
 }
@@ -217,15 +228,14 @@ Objective bod_deadline_miss_objective(const MetricsRegistry& m,
   o.name = "bod_deadline_miss_rate";
   o.description = "share of bulk transfers missing their deadline";
   o.bound = ceiling;
-  o.value = [&m] {
-    // BoD counters are per-customer series only; each transfer increments
-    // exactly one series, so the family sum is the fleet total.
-    const double met =
-        m.counter_family_sum("griphon_bod_deadlines_met_total");
-    const double missed =
-        m.counter_family_sum("griphon_bod_deadlines_missed_total");
-    const double total = met + missed;
-    return total == 0 ? std::nan("") : missed / total;
+  // BoD counters are per-customer series only; each transfer increments
+  // exactly one series, so the family sum is the fleet total.
+  o.value = [&m,
+             met = CachedLookup<std::vector<const Counter*>>(
+                 "griphon_bod_deadlines_met_total"),
+             missed = CachedLookup<std::vector<const Counter*>>(
+                 "griphon_bod_deadlines_missed_total")]() mutable {
+    return share(sum_of(met(m)), sum_of(missed(m)));
   };
   return o;
 }
@@ -236,9 +246,11 @@ Objective restoration_backlog_objective(const MetricsRegistry& m,
   o.name = "restoration_backlog";
   o.description = "failed restorations parked on retry within bound";
   o.bound = ceiling;
-  o.value = [&m] {
-    const Gauge* g = m.find_gauge("griphon_restoration_backlog_depth");
-    return g == nullptr ? std::nan("") : g->value();
+  o.value = [&m, g = CachedLookup<const Gauge*>(
+                     "griphon_restoration_backlog_depth")]()
+                mutable {
+    const Gauge* found = g(m);
+    return found == nullptr ? std::nan("") : found->value();
   };
   return o;
 }

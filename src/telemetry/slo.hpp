@@ -25,6 +25,8 @@
 
 namespace griphon::telemetry {
 
+class Counter;
+class Gauge;
 class MetricsRegistry;
 class Telemetry;
 
@@ -89,6 +91,11 @@ class SloMonitor {
     int good_streak = 0;
     bool alerting = false;
     std::uint64_t fired = 0;
+    // griphon_slo_* series of this objective (null without telemetry);
+    // the two counters register on their first increment.
+    Gauge* alert_active = nullptr;
+    Counter* violations = nullptr;
+    Counter* alerts_fired = nullptr;
   };
 
   void schedule_tick();
@@ -96,6 +103,7 @@ class SloMonitor {
 
   sim::Engine* engine_;
   Telemetry* telemetry_;
+  Counter* evaluations_ = nullptr;  ///< registered on the first sweep
   std::vector<State> objectives_;
   bool running_ = false;
   SimTime period_{};
@@ -104,8 +112,9 @@ class SloMonitor {
 
 // --- canonical GRIPhoN objectives ------------------------------------------
 // Helpers wiring the paper's operational budgets to the metric families
-// the layers already export. They read the registry by family name only,
-// so the telemetry layer stays free of upward dependencies.
+// the layers already export. They find metrics by family name only, so
+// the telemetry layer stays free of upward dependencies, and keep what
+// they found (CachedLookup) so a tick looks up nothing by name.
 
 /// p95 of griphon_controller_setup_seconds <= budget (paper: ~60 s).
 [[nodiscard]] Objective setup_latency_objective(const MetricsRegistry& m,

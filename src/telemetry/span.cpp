@@ -1,35 +1,50 @@
 #include "telemetry/span.hpp"
 
 #include <iomanip>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "telemetry/json_util.hpp"
 
 namespace griphon::telemetry {
 
-SpanId SpanTracer::append(Span s) {
-  if (s.tag == 0 && s.parent != 0) {
-    if (const Span* p = find(s.parent)) s.tag = p->tag;
-  }
-  s.id = next_++;
-  spans_.push_back(std::move(s));
-  return spans_.back().id;
+const std::string& SpanTracer::intern(std::string_view s) {
+  auto it = pool_.find(s);
+  if (it == pool_.end()) it = pool_.emplace(s).first;
+  return *it;
 }
 
-SpanId SpanTracer::start(std::string name, std::string actor,
-                         CorrelationTag tag, SpanId parent, SimTime now) {
-  Span s;
+Span& SpanTracer::append(std::string_view name, std::string_view actor,
+                         CorrelationTag tag, SpanId parent, SimTime start) {
+  if (tag == 0 && parent != 0) {
+    if (const Span* p = find(parent)) tag = p->tag;
+  }
+  Span& s = spans_.emplace_back(intern(name), intern(actor));
+  s.id = next_++;
   s.parent = parent;
   s.tag = tag;
-  s.name = std::move(name);
-  s.actor = std::move(actor);
-  s.start = now;
-  s.end = now;
-  ++open_;
-  return append(std::move(s));
+  s.start = start;
+  s.end = start;
+  return s;
 }
 
-void SpanTracer::end(SpanId id, SimTime now, bool ok, std::string detail) {
+void SpanTracer::set_detail(Span& span, std::string_view detail) {
+  if (detail.empty()) return;
+  if (details_.size() >= std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("telemetry: span detail store is full");
+  details_.emplace_back(detail);
+  span.detail_slot = static_cast<std::uint32_t>(details_.size());
+}
+
+SpanId SpanTracer::start(std::string_view name, std::string_view actor,
+                         CorrelationTag tag, SpanId parent, SimTime now) {
+  ++open_;
+  return append(name, actor, tag, parent, now).id;
+}
+
+void SpanTracer::end(SpanId id, SimTime now, bool ok,
+                     std::string_view detail) {
   if (id == 0) return;
   // find() is the one id lookup; the span it returns is ours to update.
   Span* s = const_cast<Span*>(find(id));
@@ -37,24 +52,19 @@ void SpanTracer::end(SpanId id, SimTime now, bool ok, std::string detail) {
   s->end = now;
   s->done = true;
   s->ok = ok;
-  if (!detail.empty()) s->detail = std::move(detail);
+  set_detail(*s, detail);
   --open_;
 }
 
-SpanId SpanTracer::record(std::string name, std::string actor,
+SpanId SpanTracer::record(std::string_view name, std::string_view actor,
                           CorrelationTag tag, SpanId parent, SimTime start,
-                          SimTime end, bool ok, std::string detail) {
-  Span s;
-  s.parent = parent;
-  s.tag = tag;
-  s.name = std::move(name);
-  s.actor = std::move(actor);
-  s.detail = std::move(detail);
-  s.start = start;
+                          SimTime end, bool ok, std::string_view detail) {
+  Span& s = append(name, actor, tag, parent, start);
   s.end = end;
   s.done = true;
   s.ok = ok;
-  return append(std::move(s));
+  set_detail(s, detail);
+  return s.id;
 }
 
 const Span* SpanTracer::find(SpanId id) const {
@@ -75,8 +85,14 @@ std::vector<const Span*> SpanTracer::children_of(SpanId id) const {
   return out;
 }
 
+const std::string& SpanTracer::detail(const Span& span) const noexcept {
+  static const std::string kNone;
+  return span.detail_slot == 0 ? kNone : details_[span.detail_slot - 1];
+}
+
 void SpanTracer::clear() {
   spans_.clear();
+  details_.clear();
   first_ = next_;
   open_ = 0;
 }
@@ -98,7 +114,7 @@ std::string SpanTracer::to_json(CorrelationTag tag) const {
        << to_seconds(s.start) << ",\"end\":" << to_seconds(s.end)
        << ",\"done\":" << (s.done ? "true" : "false")
        << ",\"ok\":" << (s.ok ? "true" : "false") << ",\"detail\":\"";
-    json_escape(os, s.detail);
+    json_escape(os, detail(s));
     os << "\"}";
   }
   os << "]";

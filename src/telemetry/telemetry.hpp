@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -37,20 +38,20 @@ class Telemetry {
   [[nodiscard]] const EventLog& events() const noexcept { return events_; }
   [[nodiscard]] SimTime now() const noexcept { return engine_->now(); }
 
-  // Convenience wrappers stamping the simulated clock.
-  SpanId span_start(std::string name, std::string actor,
+  // Convenience wrappers stamping the simulated clock. Names and actors
+  // are interned by the tracer, so passing a view builds no string.
+  SpanId span_start(std::string_view name, std::string_view actor,
                     CorrelationTag tag = 0, SpanId parent = 0) {
-    return spans_.start(std::move(name), std::move(actor), tag, parent,
-                        engine_->now());
+    return spans_.start(name, actor, tag, parent, engine_->now());
   }
-  void span_end(SpanId id, bool ok = true, std::string detail = {}) {
-    spans_.end(id, engine_->now(), ok, std::move(detail));
+  void span_end(SpanId id, bool ok = true, std::string_view detail = {}) {
+    spans_.end(id, engine_->now(), ok, detail);
   }
-  SpanId span_record(std::string name, std::string actor, CorrelationTag tag,
-                     SpanId parent, SimTime start, SimTime end,
-                     bool ok = true, std::string detail = {}) {
-    return spans_.record(std::move(name), std::move(actor), tag, parent,
-                         start, end, ok, std::move(detail));
+  SpanId span_record(std::string_view name, std::string_view actor,
+                     CorrelationTag tag, SpanId parent, SimTime start,
+                     SimTime end, bool ok = true,
+                     std::string_view detail = {}) {
+    return spans_.record(name, actor, tag, parent, start, end, ok, detail);
   }
   /// Append a structured event stamped with the simulated clock.
   void event(Severity severity, std::string category, std::string actor,

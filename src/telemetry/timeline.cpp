@@ -86,7 +86,8 @@ std::string TimelineReport::render(CorrelationTag tag,
        << std::string(bar_len, s->ok ? '#' : 'x')
        << std::string(width - bar_off - bar_len, ' ') << "|";
     if (!s->done) os << " (open)";
-    if (!s->detail.empty()) os << " " << s->detail;
+    const std::string& detail = tracer_->detail(*s);
+    if (!detail.empty()) os << " " << detail;
     os << "\n";
   }
   return os.str();

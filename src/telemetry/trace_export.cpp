@@ -50,7 +50,8 @@ void emit_common(std::ostream& os, const char* ph, std::int64_t ts_us,
      << ",\"tid\":" << tid;
 }
 
-void emit_span_args(std::ostream& os, const Span& s, bool closing,
+void emit_span_args(std::ostream& os, const Span& s,
+                    const std::string& detail, bool closing,
                     bool incomplete) {
   os << ",\"args\":{";
   bool first = true;
@@ -66,7 +67,7 @@ void emit_span_args(std::ostream& os, const Span& s, bool closing,
   }
   if (closing) {
     field("ok") << (s.ok ? "true" : "false");
-    if (!s.detail.empty()) field("detail") << json_quote(s.detail);
+    if (!detail.empty()) field("detail") << json_quote(detail);
     if (incomplete) field("incomplete") << "true";
   }
   os << "}";
@@ -198,14 +199,16 @@ std::string TraceExporter::to_json(const SpanTracer& tracer,
     sep();
     os << "{\"name\":" << json_quote(p.span->name) << ",";
     emit_common(os, "B", p.start_us, p.pid, p.tid);
-    emit_span_args(os, *p.span, /*closing=*/false, /*incomplete=*/false);
+    emit_span_args(os, *p.span, tracer.detail(*p.span), /*closing=*/false,
+                   /*incomplete=*/false);
     os << "}";
   };
   const auto emit_end = [&](const Prepared& p) {
     sep();
     os << "{\"name\":" << json_quote(p.span->name) << ",";
     emit_common(os, "E", p.end_us, p.pid, p.tid);
-    emit_span_args(os, *p.span, /*closing=*/true, p.incomplete);
+    emit_span_args(os, *p.span, tracer.detail(*p.span), /*closing=*/true,
+                   p.incomplete);
     os << "}";
   };
 

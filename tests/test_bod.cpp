@@ -377,6 +377,39 @@ TEST(Scheduler, TransferCompletesBeforeDeadline) {
   s.model->attach_telemetry(nullptr);
 }
 
+TEST(Scheduler, RefusalsCountThroughCachedSeries) {
+  core::TestbedScenario s(81);
+  telemetry::Telemetry tel(&s.engine);
+  s.model->attach_telemetry(&tel);
+  ReservationCalendar cal(cal_params(rates::k40G));
+  AdmissionController adm(&s.engine);
+  adm.set_policy(s.csp, open_policy(DataRate::gbps(100)));
+  TransferScheduler sched(s.controller.get(), &cal, &adm, sched_params());
+  sched.register_portal(s.portal.get());
+
+  TransferScheduler::TransferRequest req;
+  req.customer = s.csp;
+  req.src_site = s.site_i;
+  req.dst_site = s.site_iv;
+  req.bytes = 0;  // refused: no volume
+  req.deadline = hours(2);
+  ASSERT_FALSE(sched.submit(req).ok());  // registers the series
+  const std::uint64_t warm = tel.metrics().by_name_calls();
+  for (int i = 0; i < 5; ++i) ASSERT_FALSE(sched.submit(req).ok());
+  EXPECT_EQ(tel.metrics().by_name_calls(), warm);
+
+  const auto* invalid = tel.metrics().find_counter(
+      "griphon_bod_transfers_rejected_total",
+      {{"customer", "1"}, {"reason", "invalid"}});
+  ASSERT_NE(invalid, nullptr);
+  EXPECT_EQ(invalid->value(), 6u);
+  const auto* submitted = tel.metrics().find_counter(
+      "griphon_bod_transfers_submitted_total", {{"customer", "1"}});
+  ASSERT_NE(submitted, nullptr);
+  EXPECT_EQ(submitted->value(), 6u);
+  s.model->attach_telemetry(nullptr);
+}
+
 TEST(Scheduler, SplitsAcrossRoutesWhenOneWindowMissesTheDeadline) {
   core::TestbedScenario s(81);
   ReservationCalendar cal(cal_params(rates::k10G));  // one wave per link

@@ -554,6 +554,105 @@ TEST(Controller, RollbackRespectsReverseDependencies) {
   }
 }
 
+/// Watches a release train: when an NTE port is disabled, the FXC
+/// cross-connect that steered onto it must already be gone. The FXC EMS
+/// runs slow, so a train that does not wait for it is caught.
+struct ReleaseOrderProbe final : ems::EmsFaultHook {
+  struct Access {
+    MuxponderId site;
+    std::uint32_t nte_port = 0;
+    fxc::Fxc* fxc = nullptr;
+    PortId fxc_port;
+  };
+  sim::Engine* engine = nullptr;
+  std::vector<Access> access;
+  std::optional<SimTime> odu_released_at;
+  std::optional<SimTime> first_fxc_disconnect_at;
+  std::size_t nte_disables = 0;
+  std::size_t nte_disabled_while_steered = 0;
+
+  Status on_command(const std::string&, const proto::Message& m) override {
+    if (const auto* op = std::get_if<proto::OtnOp>(&m);
+        op != nullptr && op->op == proto::OtnOp::Op::kRelease)
+      odu_released_at = engine->now();
+    if (std::holds_alternative<proto::FxcDisconnect>(m) &&
+        !first_fxc_disconnect_at)
+      first_fxc_disconnect_at = engine->now();
+    if (const auto* nte = std::get_if<proto::NtePort>(&m);
+        nte != nullptr && !nte->engage) {
+      ++nte_disables;
+      for (const Access& a : access)
+        if (a.site == nte->nte && a.nte_port == nte->port &&
+            a.fxc->connected(a.fxc_port))
+          ++nte_disabled_while_steered;
+    }
+    return Status::success();
+  }
+  double latency_scale(const std::string& ems) override {
+    return ems == "fxc-ems" ? 3.0 : 1.0;
+  }
+};
+
+TEST(ControllerRelease, SubWavelengthGoesDarkBeforeItsAccessUnwinds) {
+  TestbedScenario s(45);
+  const auto id = connect_sync(s, s.site_i, s.site_iv, rates::k1G,
+                               ProtectionMode::kRestorable);
+  const Connection& c = s.controller->connection(id);
+  ASSERT_EQ(c.kind, ConnectionKind::kSubWavelength);
+
+  // The train: ODU release; FXC disconnect at each end after it; each
+  // NTE port after the cross-connect that steered it.
+  const StepList steps = s.controller->build_release(c);
+  ASSERT_EQ(steps.size(), 5u);
+  EXPECT_TRUE(std::holds_alternative<proto::OtnOp>(steps[0].forward));
+  EXPECT_TRUE(std::holds_alternative<proto::FxcDisconnect>(steps[1].forward));
+  EXPECT_TRUE(std::holds_alternative<proto::FxcDisconnect>(steps[2].forward));
+  EXPECT_TRUE(std::holds_alternative<proto::NtePort>(steps[3].forward));
+  EXPECT_TRUE(std::holds_alternative<proto::NtePort>(steps[4].forward));
+  using Ids = std::vector<std::size_t>;
+  const StepDag dag(steps);
+  EXPECT_EQ(dag.deps_of(0), Ids{});
+  EXPECT_EQ(dag.deps_of(1), (Ids{0}));
+  EXPECT_EQ(dag.deps_of(2), (Ids{0}));
+  EXPECT_EQ(dag.deps_of(3), (Ids{1}));
+  EXPECT_EQ(dag.deps_of(4), (Ids{2}));
+}
+
+TEST(ControllerRelease, NoNtePortIsDisabledWhileItsFxcStillSteersOntoIt) {
+  TestbedScenario s(45);  // default params: DAG executor
+  const auto id = connect_sync(s, s.site_i, s.site_iv, rates::k1G,
+                               ProtectionMode::kRestorable);
+  const Connection& c = s.controller->connection(id);
+  ReleaseOrderProbe probe;
+  probe.engine = &s.engine;
+  const auto watch = [&](NodeId pop, MuxponderId site, std::size_t port) {
+    fxc::Fxc& f = s.model->fxc_at(pop);
+    const auto at =
+        f.port_for(fxc::Wiring::Kind::kCustomerAccess, site.value(), port);
+    ASSERT_TRUE(at.has_value());
+    ASSERT_TRUE(f.connected(*at));
+    probe.access.push_back(
+        {site, static_cast<std::uint32_t>(port), &f, *at});
+  };
+  watch(c.src_pop, c.src_site, c.src_nte_port);
+  watch(c.dst_pop, c.dst_site, c.dst_nte_port);
+  s.model->fxc_ems().set_fault_hook(&probe);
+  s.model->nte_ems().set_fault_hook(&probe);
+  s.model->otn_ems().set_fault_hook(&probe);
+
+  std::optional<Status> done;
+  s.portal->disconnect(id, [&](Status st) { done = st; });
+  s.engine.run();
+  ASSERT_TRUE(done && done->ok());
+  EXPECT_EQ(probe.nte_disables, 2u);
+  EXPECT_EQ(probe.nte_disabled_while_steered, 0u);
+  ASSERT_TRUE(probe.odu_released_at && probe.first_fxc_disconnect_at);
+  EXPECT_GT(*probe.first_fxc_disconnect_at, *probe.odu_released_at);
+  EXPECT_EQ(s.model->otn().circuit_count(), 0u);
+  EXPECT_EQ(s.model->fxc_at(s.topo.i).active_connections(), 0u);
+  EXPECT_EQ(s.model->nte(s.site_i).ports_in_use(), 0u);
+}
+
 TEST(StepDag, MergesExplicitAndPerElementEdges) {
   // Explicit deps with a duplicate, a self-edge and a forward edge, plus
   // three steps on transponder 1 (implicit per-element chain 0 -> 2 -> 4).

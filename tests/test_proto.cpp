@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,32 @@ TEST(Wire, StringAndDoubleAndBool) {
   EXPECT_DOUBLE_EQ(r.f64().value(), 3.14159);
   EXPECT_TRUE(r.boolean().value());
   EXPECT_FALSE(r.boolean().value());
+}
+
+TEST(Wire, FixedWidthIntegersAreBigEndianAfterEarlierBytes) {
+  ByteWriter w;
+  w.u8(0xFF);
+  w.u16(0x0102);
+  w.u64(0x030405060708090Aull);
+  EXPECT_EQ(w.bytes(), (Bytes{0xFF, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+}
+
+TEST(Wire, StringLongerThanTheLengthPrefixIsRefused) {
+  ByteWriter w;
+  w.u8(7);
+  const std::string longest(ByteWriter::kMaxString, 'x');
+  w.str(longest);
+  ByteReader r(w.bytes());
+  EXPECT_EQ(r.u8().value(), 7);
+  EXPECT_EQ(r.str().value(), longest);
+  EXPECT_TRUE(r.exhausted());
+
+  // One byte more cannot be framed: the writer refuses it and leaves the
+  // buffer as it was, instead of writing a wrapped length.
+  const std::size_t before = w.size();
+  EXPECT_THROW(w.str(std::string(ByteWriter::kMaxString + 1, 'y')),
+               std::length_error);
+  EXPECT_EQ(w.size(), before);
 }
 
 TEST(Wire, TruncatedReadsFail) {

@@ -10,13 +10,23 @@
 // (this doubles as the CI name-scheme check).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <set>
+#include <iterator>
 #include <string>
+#include <variant>
+#include <vector>
 
+#include "core/observability.hpp"
 #include "core/scenario.hpp"
+#include "ems/ems_server.hpp"
+#include "proto/messages.hpp"
+#include "telemetry/sampler.hpp"
+#include "telemetry/slo.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/timeline.hpp"
+#include "telemetry/trace_export.hpp"
 
 namespace griphon::telemetry {
 namespace {
@@ -212,7 +222,7 @@ TEST(SpanTracer, NestingAndTagInheritance) {
   EXPECT_EQ(t.open_count(), 0u);
   EXPECT_EQ(t.find(child)->duration(), seconds(3));
   EXPECT_FALSE(t.find(root)->ok);
-  EXPECT_EQ(t.find(root)->detail, "boom");
+  EXPECT_EQ(t.detail(*t.find(root)), "boom");
   EXPECT_EQ(t.for_tag(77).size(), 2u);
   ASSERT_EQ(t.children_of(root).size(), 1u);
   EXPECT_EQ(t.children_of(root)[0]->name, "ot.tune");
@@ -241,7 +251,7 @@ TEST(SpanTracer, RetroactiveRecordInheritsTagAndIsClosed) {
   EXPECT_TRUE(sp->done);
   EXPECT_EQ(sp->tag, 9u);
   EXPECT_EQ(sp->duration(), seconds(2));
-  EXPECT_EQ(sp->detail, "link 3");
+  EXPECT_EQ(t.detail(*sp), "link 3");
   EXPECT_EQ(t.open_count(), 1u);  // only the root is still open
 }
 
@@ -446,5 +456,240 @@ TEST(TelemetryIntegration, RestorationDecomposesIntoPhases) {
   EXPECT_TRUE(tel.metrics().invalid_names().empty());
 }
 
+
+// --- Span store equivalence --------------------------------------------------
+// A scripted testbed lifecycle touching every span the controller and the
+// plant record: a setup, a setup whose activation is vetoed and rolled
+// back, a release, a fiber cut with its restoration, and a bridge-and-roll.
+// The three span renderings are pinned by hash; the values were taken from
+// the string-per-field span store, so a store that changes layout must
+// still print the same bytes.
+
+/// FNV-1a 64: a stable digest for pinning long renderings.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Vetoes the first OT activation it sees (a non-retryable device fault),
+/// which fails that setup and runs its rollback.
+struct VetoFirstActivation final : ems::EmsFaultHook {
+  bool armed = true;
+  Status on_command(const std::string&, const proto::Message& m) override {
+    if (armed && std::holds_alternative<proto::OtSetState>(m) &&
+        std::get<proto::OtSetState>(m).action ==
+            proto::OtSetState::Action::kActivate) {
+      armed = false;
+      return Status{ErrorCode::kDeviceFault, "chaos: activation vetoed"};
+    }
+    return Status::success();
+  }
+  double latency_scale(const std::string&) override { return 1.0; }
+};
+
+struct ScriptedLifecycle {
+  core::TestbedScenario s{23};
+  Telemetry tel{&s.engine};
+
+  ScriptedLifecycle() {
+    s.model->attach_telemetry(&tel);
+    const ConnectionId kept = connect(s.site_i, s.site_iv).value();
+
+    VetoFirstActivation veto;
+    s.model->roadm_ems().set_fault_hook(&veto);
+    EXPECT_FALSE(connect(s.site_i, s.site_iii).ok());
+    s.model->roadm_ems().set_fault_hook(nullptr);
+
+    const ConnectionId released = connect(s.site_iii, s.site_iv).value();
+    std::optional<Status> gone;
+    s.portal->disconnect(released, [&](Status st) { gone = st; });
+    s.engine.run();
+    EXPECT_TRUE(gone && gone->ok());
+
+    const LinkId cut = s.controller->connection(kept).plan.path.links.front();
+    s.model->fail_link(cut);
+    s.engine.run();
+    EXPECT_GE(s.controller->stats().restorations_ok, 1u);
+    s.model->repair_link(cut);
+    s.engine.run();
+
+    core::Exclusions avoid;
+    for (const LinkId l : s.controller->connection(kept).plan.path.links)
+      avoid.links.insert(l);
+    std::optional<Status> rolled;
+    s.controller->bridge_and_roll(kept, avoid,
+                                  [&](Status st) { rolled = st; });
+    s.engine.run();
+    EXPECT_TRUE(rolled && rolled->ok());
+  }
+
+  Result<ConnectionId> connect(MuxponderId a, MuxponderId b) {
+    std::optional<Result<ConnectionId>> r;
+    s.portal->connect(a, b, rates::k10G, core::ProtectionMode::kRestorable,
+                      [&](Result<ConnectionId> got) { r = std::move(got); });
+    s.engine.run();
+    EXPECT_TRUE(r.has_value());
+    return std::move(*r);
+  }
+
+  /// Every tagged connection's waterfall, in first-appearance order.
+  [[nodiscard]] std::string timelines() const {
+    std::string out;
+    std::set<CorrelationTag> seen;
+    const TimelineReport report(&tel.spans());
+    for (const Span& sp : tel.spans().spans())
+      if (sp.tag != 0 && seen.insert(sp.tag).second)
+        out += report.render(sp.tag);
+    return out;
+  }
+};
+
+TEST(SpanStore, ScriptedLifecycleRendersTheSameBytes) {
+  const ScriptedLifecycle run;
+  EXPECT_EQ(run.tel.spans().spans().size(), 93u);
+  EXPECT_EQ(run.tel.spans().open_count(), 0u);
+  EXPECT_EQ(fnv1a(run.tel.spans().to_json()), 10873822497200778382ull);
+  EXPECT_EQ(fnv1a(TraceExporter{}.to_json(run.tel)), 18147925568461926955ull);
+  EXPECT_EQ(fnv1a(run.timelines()), 16979669688828955255ull);
+  // The vetoed activation's error reached both its command span and the
+  // setup it failed.
+  EXPECT_NE(run.timelines().find("| chaos: activation vetoed"), npos);
+}
+
+TEST(SpanStore, PoolHoldsTheVocabularyNotTheSpans) {
+  const char* const names[] = {"ot.tune", "roadm.add_drop", "fxc.xconnect",
+                               "nte.port", "connection_setup"};
+  const char* const actors[] = {"roadm-ems", "fxc-ems", "controller"};
+  SpanTracer t;
+  for (int i = 0; i < 100'000; ++i) {
+    // Views into fresh buffers: interning must compare text, not pointers.
+    const std::string name = names[i % std::size(names)];
+    const std::string actor = actors[i % std::size(actors)];
+    const SpanId id = t.start(name, actor, 1, 0, seconds(i));
+    t.end(id, seconds(i + 1));
+  }
+  EXPECT_EQ(t.spans().size(), 100'000u);
+  EXPECT_EQ(t.interned_count(), std::size(names) + std::size(actors));
+  EXPECT_EQ(&t.spans().front().name, &t.spans()[5].name);  // one copy
+  EXPECT_EQ(t.spans()[7].name, "fxc.xconnect");
+  EXPECT_EQ(t.spans()[7].actor, "fxc-ems");
+  // clear() drops spans, not the vocabulary.
+  t.clear();
+  t.start("ot.tune", "roadm-ems", 1, 0, seconds(0));
+  EXPECT_EQ(t.interned_count(), std::size(names) + std::size(actors));
+}
+
+TEST(SpanStore, DetailIsKeptPerSpanAndOnlyWhereGiven) {
+  SpanTracer t;
+  const SpanId ok = t.start("ot.set_state", "roadm-ems", 1, 0, seconds(0));
+  const SpanId bad = t.start("ot.set_state", "roadm-ems", 1, 0, seconds(0));
+  t.end(ok, seconds(1));
+  t.end(bad, seconds(1), false, "chaos: activation vetoed");
+  const SpanId late = t.record("detect", "failure-manager", 0, 0, seconds(0),
+                               seconds(2), true, "link 3");
+  EXPECT_EQ(t.detail(*t.find(ok)), "");
+  EXPECT_EQ(t.find(ok)->detail_slot, 0u);
+  EXPECT_FALSE(t.find(bad)->ok);
+  EXPECT_EQ(t.detail(*t.find(bad)), "chaos: activation vetoed");
+  EXPECT_EQ(t.detail(*t.find(late)), "link 3");
+  EXPECT_NE(t.to_json().find("\"detail\":\"chaos: activation vetoed\""),
+            npos);
+  // A second close keeps the first detail.
+  t.end(bad, seconds(5), true, "overwritten?");
+  EXPECT_EQ(t.detail(*t.find(bad)), "chaos: activation vetoed");
+}
+
+// --- Cached metric handles ---------------------------------------------------
+
+TEST(MetricHandles, ArmedHotPathsResolveNothingByNameAfterWarmUp) {
+  core::TestbedScenario s(31);
+  Telemetry tel(&s.engine);
+  s.model->attach_telemetry(&tel);
+  GaugeSampler sampler(&s.engine, &tel);
+  core::install_standard_probes(sampler, *s.controller, *s.model);
+  SloMonitor slo(&s.engine, &tel);
+  const MetricsRegistry& m = tel.metrics();
+  slo.add_objective(setup_latency_objective(m, 60));
+  slo.add_objective(restoration_time_objective(m, 100));
+  slo.add_objective(blocking_rate_objective(m, 0.2));
+  slo.add_objective(bod_deadline_miss_objective(m, 0.05));
+  slo.add_objective(restoration_backlog_objective(m, 8));
+  sampler.start(minutes(1));
+  slo.start(minutes(1));
+
+  // One connection set up, held past a few ticks, and released.
+  const auto cycle = [&] {
+    std::optional<ConnectionId> id;
+    s.portal->connect(s.site_i, s.site_iv, rates::k10G,
+                      core::ProtectionMode::kUnprotected,
+                      [&](Result<ConnectionId> r) {
+                        ASSERT_TRUE(r.ok());
+                        id = r.value();
+                      });
+    s.engine.run_until(s.engine.now() + minutes(5));
+    ASSERT_TRUE(id.has_value());
+    std::optional<Status> gone;
+    s.portal->disconnect(*id, [&](Status st) { gone = st; });
+    s.engine.run_until(s.engine.now() + minutes(5));
+    ASSERT_TRUE(gone && gone->ok());
+  };
+  cycle();  // warm-up: every series this traffic touches registers
+  const std::uint64_t warm = m.by_name_calls();
+  const std::uint64_t ticks = sampler.tick_count();
+  for (int i = 0; i < 3; ++i) cycle();
+  EXPECT_GE(sampler.tick_count(), ticks + 25);
+  EXPECT_EQ(m.by_name_calls(), warm);
+  // Still counted: the fleet series and the one customer's series.
+  for (const char* family : {"griphon_controller_setups_ok_total",
+                             "griphon_controller_releases_total"}) {
+    const std::vector<const Counter*> series = m.counter_family(family);
+    ASSERT_EQ(series.size(), 2u) << family;
+    for (const Counter* c : series) EXPECT_EQ(c->value(), 4u) << family;
+  }
+}
+
+TEST(MetricHandles, CachedLookupRerunsOnlyAfterARegistration) {
+  MetricsRegistry reg;
+  CachedLookup<const Counter*> lookup("griphon_test_hits_total");
+  EXPECT_EQ(lookup(reg), nullptr);
+  const std::uint64_t after_miss = reg.by_name_calls();
+  EXPECT_EQ(lookup(reg), nullptr);  // nothing registered since: no lookup
+  EXPECT_EQ(reg.by_name_calls(), after_miss);
+  Counter* hits = reg.counter("griphon_test_hits_total", "hits");
+  EXPECT_EQ(lookup(reg), hits);
+  const std::uint64_t after_hit = reg.by_name_calls();
+  EXPECT_EQ(lookup(reg), hits);
+  EXPECT_EQ(reg.by_name_calls(), after_hit);
+
+  // Another registry is another answer, even with nothing new in it.
+  MetricsRegistry other;
+  EXPECT_EQ(lookup(other), nullptr);
+}
+
+TEST(MetricHandles, KeyedCountersRegisterEachKeyOnce) {
+  MetricsRegistry reg;
+  KeyedCounters family("griphon_test_events_total", "events");
+  family.in(reg, "customer", 3).inc();
+  family.in(reg, "customer", 4).inc(2);
+  const std::uint64_t warm = reg.by_name_calls();
+  family.in(reg, "customer", 3).inc();
+  EXPECT_EQ(reg.by_name_calls(), warm);
+  EXPECT_EQ(reg.find_counter("griphon_test_events_total",
+                             {{"customer", "3"}})
+                ->value(),
+            2u);
+  EXPECT_EQ(reg.counter_family("griphon_test_events_total").size(), 2u);
+  // A new registry gets its own series.
+  MetricsRegistry other;
+  family.in(other, "customer", 3).inc();
+  EXPECT_EQ(other.find_counter("griphon_test_events_total",
+                               {{"customer", "3"}})
+                ->value(),
+            1u);
+}
 }  // namespace
 }  // namespace griphon::telemetry
