@@ -14,8 +14,11 @@ Result<SonetBodService::Provisioned> SonetBodService::request(NodeId src,
   if (!circuit.ok()) return circuit.error();
   Provisioned p;
   p.circuit = circuit.value();
+  // Electronic cross-connect reconfiguration: minutes, not weeks.
+  constexpr SimTime kProvisioningMin = seconds(60);
+  constexpr SimTime kProvisioningMax = seconds(180);
   p.provisioning_time = from_seconds(rng.uniform(
-      to_seconds(params_.provisioning_min), to_seconds(params_.provisioning_max)));
+      to_seconds(kProvisioningMin), to_seconds(kProvisioningMax)));
   p.granted = sonet::vcat_rate(sts1);
   return p;
 }

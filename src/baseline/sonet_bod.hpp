@@ -17,15 +17,7 @@ namespace griphon::baseline {
 
 class SonetBodService {
  public:
-  struct Params {
-    /// Electronic cross-connect reconfiguration: minutes, not weeks.
-    SimTime provisioning_min = seconds(60);
-    SimTime provisioning_max = seconds(180);
-  };
-
-  explicit SonetBodService(sonet::SonetRing* ring);
-  SonetBodService(sonet::SonetRing* ring, Params params)
-      : ring_(ring), params_(params) {}
+  explicit SonetBodService(sonet::SonetRing* ring) : ring_(ring) {}
 
   struct Provisioned {
     StsCircuitId circuit;
@@ -45,10 +37,6 @@ class SonetBodService {
 
  private:
   sonet::SonetRing* ring_;
-  Params params_;
 };
-
-inline SonetBodService::SonetBodService(sonet::SonetRing* ring)
-    : SonetBodService(ring, Params{}) {}
 
 }  // namespace griphon::baseline

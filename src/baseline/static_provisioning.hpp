@@ -14,25 +14,19 @@ namespace griphon::baseline {
 
 class StaticProvisioningModel {
  public:
-  struct Params {
-    /// Order-to-turn-up interval for a new wavelength private line.
-    SimTime lead_time_min = hours(24 * 14);  // 2 weeks
-    SimTime lead_time_max = hours(24 * 56);  // 8 weeks
-  };
-
-  StaticProvisioningModel();
-  explicit StaticProvisioningModel(Params params) : params_(params) {}
-
   /// Sampled provisioning time for one new circuit.
-  [[nodiscard]] SimTime provisioning_time(Rng& rng) const {
-    return from_seconds(rng.uniform(to_seconds(params_.lead_time_min),
-                                    to_seconds(params_.lead_time_max)));
+  [[nodiscard]] static SimTime provisioning_time(Rng& rng) {
+    // Order-to-turn-up interval for a new wavelength private line.
+    constexpr SimTime kLeadTimeMin = hours(24 * 14);  // 2 weeks
+    constexpr SimTime kLeadTimeMax = hours(24 * 56);  // 8 weeks
+    return from_seconds(
+        rng.uniform(to_seconds(kLeadTimeMin), to_seconds(kLeadTimeMax)));
   }
 
   /// Completion of a transfer of `bytes` when the circuit must first be
   /// provisioned (the "new route" worst case).
-  [[nodiscard]] SimTime transfer_cold(std::int64_t bytes, DataRate rate,
-                                      Rng& rng) const {
+  [[nodiscard]] static SimTime transfer_cold(std::int64_t bytes,
+                                             DataRate rate, Rng& rng) {
     return provisioning_time(rng) + transfer_time(bytes, rate);
   }
 
@@ -41,9 +35,6 @@ class StaticProvisioningModel {
   [[nodiscard]] static double circuit_hours(SimTime held, int circuits = 1) {
     return to_seconds(held) / 3600.0 * circuits;
   }
-
- private:
-  Params params_;
 };
 
 /// Manual repair of an unprotected wavelength service: "wait for the
@@ -56,8 +47,5 @@ class ManualRepairModel {
                                     to_seconds(hours(12))));
   }
 };
-
-inline StaticProvisioningModel::StaticProvisioningModel()
-    : StaticProvisioningModel(Params{}) {}
 
 }  // namespace griphon::baseline

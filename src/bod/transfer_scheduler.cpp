@@ -352,8 +352,10 @@ void TransferScheduler::on_setup_result(TransferId id,
     return;
   }
 
+  // Deferrals one piece may take before a refusal counts as a failure.
+  constexpr int kMaxUnavailableDefers = 20;
   if (result.error().code() == ErrorCode::kUnavailable &&
-      p.defers < params_.max_unavailable_defers) {
+      p.defers < kMaxUnavailableDefers) {
     // The controller shed the setup because an EMS circuit breaker is
     // open: the command path is down, not this piece. Park it without
     // consuming a retry and come back once the breaker has had a chance
@@ -373,13 +375,16 @@ void TransferScheduler::on_setup_result(TransferId id,
     return;
   }
 
+  // Retries of a failed bundle setup; retry n waits n x the base delay.
+  constexpr int kMaxSetupRetries = 3;
+  constexpr SimTime kRetryBackoff = seconds(30);
   ++p.attempts;
-  if (p.attempts <= params_.max_setup_retries) {
+  if (p.attempts <= kMaxSetupRetries) {
     // Transient setup failure: back off linearly and retry inside the
     // reserved window (the setup_pad exists to absorb exactly this).
     ++stats_.setup_retries;
     count(metrics_.retries, t.customer);
-    engine_->schedule(params_.retry_backoff * p.attempts,
+    engine_->schedule(kRetryBackoff * p.attempts,
                       [this, id, piece_index, epoch] {
                         const auto it2 = transfers_.find(id);
                         if (it2 == transfers_.end()) return;

@@ -38,15 +38,10 @@ class TransferScheduler {
     /// Extra window time reserved in front of the data to absorb bundle
     /// setup (the paper's 60-70 s per wavelength, x4 for a 40G composite).
     SimTime setup_pad = minutes(8);
-    /// Base retry delay after a failed bundle setup; attempt n waits n x
-    /// this.
-    SimTime retry_backoff = seconds(30);
-    int max_setup_retries = 3;
     /// A setup refused with kUnavailable (an EMS circuit breaker is open)
     /// is *deferred* — parked for this long without consuming a retry,
     /// since hammering a dead EMS cannot succeed. Bounded per piece.
     SimTime unavailable_defer = seconds(60);
-    int max_unavailable_defers = 20;
     /// Split a transfer into at most this many pieces when a single window
     /// cannot meet the deadline.
     int max_pieces = 2;

@@ -15,6 +15,18 @@ namespace {
 
 /// Dialogues in flight per EMS domain on the DAG executor.
 constexpr std::size_t kDagDomainWindow = 4;
+/// Route computation time inside the controller.
+constexpr SimTime kPathComputation = milliseconds(500);
+/// Traffic hit when rolling between bridged paths.
+constexpr SimTime kRollHit = milliseconds(50);
+
+/// Capped exponential backoff: `base` doubled per attempt after the
+/// first, at most `cap`.
+SimTime backoff(int attempt, SimTime base, SimTime cap) {
+  double delay = to_seconds(base);
+  for (int i = 1; i < attempt; ++i) delay *= 2.0;
+  return std::min(cap, from_seconds(delay));
+}
 
 Status response_to_status(const Result<proto::Response>& r) {
   if (!r.ok()) return r.error();
@@ -139,8 +151,8 @@ static_assert(std::none_of(std::begin(kTransitions), std::end(kTransitions),
 GriphonController::GriphonController(NetworkModel* model, Params params)
     : model_(model), params_(params), inventory_(model),
       rwa_(model, &inventory_, params.rwa),
-      failures_(&model->engine(), params.failure),
-      ems_health_(&model->engine(), params.ems_health) {
+      failures_(&model->engine()),
+      ems_health_(&model->engine(), EmsHealthTracker::Params{}) {
   client_domains_ = {
       {&model_->roadm_ems_client(), model_->roadm_ems().name()},
       {&model_->fxc_ems_client(), model_->fxc_ems().name()},
@@ -301,16 +313,6 @@ const std::string& GriphonController::domain_of(
   return it == client_domains_.end() ? kUnknown : it->second;
 }
 
-SimTime GriphonController::retry_delay(int attempt) {
-  const auto& p = params_.command_retry;
-  double d = to_seconds(p.base_backoff);
-  for (int i = 1; i < attempt; ++i) d *= p.backoff_multiplier;
-  d = std::min(d, to_seconds(p.max_backoff));
-  if (p.jitter > 0.0)
-    d *= model_->engine().rng().uniform(1.0 - p.jitter, 1.0 + p.jitter);
-  return from_seconds(d);
-}
-
 void GriphonController::issue_command(
     proto::RequestClient* client, proto::Message message,
     proto::RequestClient::ResponseCallback cb, int attempt,
@@ -349,8 +351,10 @@ void GriphonController::issue_command(
         else
           ems_health_.record_success(domain_of(client));
         const Status s = response_to_status(r);
+        // Total tries per command.
+        constexpr int kMaxAttempts = 3;
         if (!s.ok() && command_retryable(s.error().code()) &&
-            attempt < params_.command_retry.max_attempts) {
+            attempt < kMaxAttempts) {
           ++stats_.commands_retried;
           // After a timeout the command may or may not have executed:
           // retry under the SAME request id so the EMS either replays its
@@ -361,8 +365,16 @@ void GriphonController::issue_command(
             t->event(telemetry::Severity::kWarn, "retry", domain_of(client),
                      "command retry, attempt " + std::to_string(attempt) +
                          ": " + s.error().message());
+          // Exponential backoff, each delay jittered by a uniform
+          // +/- fraction.
+          constexpr SimTime kBackoffBase = seconds(2);
+          constexpr SimTime kBackoffCap = seconds(30);
+          constexpr double kJitter = 0.25;
+          const SimTime delay = from_seconds(
+              to_seconds(backoff(attempt, kBackoffBase, kBackoffCap)) *
+              model_->engine().rng().uniform(1.0 - kJitter, 1.0 + kJitter));
           model_->engine().schedule(
-              retry_delay(attempt),
+              delay,
               [this, client, message = std::move(message),
                cb = std::move(cb), attempt, reuse]() mutable {
                 issue_command(client, std::move(message), std::move(cb),
@@ -523,7 +535,8 @@ void GriphonController::finish_dag(const std::shared_ptr<RunState>& state) {
 
 void GriphonController::rollback_steps(std::shared_ptr<StepList> steps,
                                        std::vector<std::size_t> succeeded,
-                                       std::function<void()> done) {
+                                       std::function<void()> done,
+                                       std::uint64_t parent_span) {
   // Reverse completion order with reverse dependency edges: an undo may
   // only run once the undos of everything that depended on its forward
   // step are done (a cross-connect is removed before the port under it is
@@ -532,7 +545,8 @@ void GriphonController::rollback_steps(std::shared_ptr<StepList> steps,
             /*best_effort=*/true,
             [done = std::move(done)](Status, std::vector<std::size_t>) {
               done();
-            });
+            },
+            parent_span);
 }
 
 Status GriphonController::admit_optical_plan(const WavelengthPlan& plan,
@@ -1038,9 +1052,8 @@ void GriphonController::setup_wavelength(ConnectionId id, SetupCallback cb) {
   if (telemetry::Telemetry* t = model_->telemetry())
     think_span =
         t->span_start("path_computation", "controller", 0, c.setup_span);
-  const SimTime think = params_.path_computation.sample(model_->engine().rng());
-  model_->engine().schedule(think, [this, id, think_span,
-                                    cb = std::move(cb)]() mutable {
+  model_->engine().schedule(kPathComputation, [this, id, think_span,
+                                               cb = std::move(cb)]() mutable {
     Connection* c = find_conn(id);
     if (c == nullptr) return;
     auto plan = rwa_.plan(c->src_pop, c->dst_pop, c->rate);
@@ -1073,7 +1086,8 @@ void GriphonController::setup_wavelength(ConnectionId id, SetupCallback cb) {
                   rollback_steps(steps, std::move(succeeded),
                                  [this, id, status, cb = std::move(cb)]() mutable {
                                    finish_setup(id, status, std::move(cb));
-                                 });
+                                 },
+                                 c->setup_span);
                   return;
                 }
                 if (c->protection == ProtectionMode::kOnePlusOne) {
@@ -1136,7 +1150,8 @@ void GriphonController::setup_wavelength(ConnectionId id, SetupCallback cb) {
                                             finish_setup(id, s2,
                                                          std::move(cb));
                                           });
-                                    });
+                                    },
+                                    c->setup_span);
                                 return;
                               }
                               finish_setup(id, Status::success(),
@@ -1225,7 +1240,7 @@ void GriphonController::setup_subwavelength_access(ConnectionId id,
   auto steps = std::make_shared<StepList>(build_access_setup(*c));
   const std::uint64_t setup_span = c->setup_span;
   run_steps(steps, false,
-            [this, id, steps, cb = std::move(cb)](
+            [this, id, steps, setup_span, cb = std::move(cb)](
                 Status status, std::vector<std::size_t> succeeded) mutable {
               if (status.ok()) {
                 finish_setup(id, Status::success(), std::move(cb));
@@ -1247,7 +1262,8 @@ void GriphonController::setup_subwavelength_access(ConnectionId id,
                       c->odu = OduCircuitId{};
                     }
                     finish_setup(id, status, std::move(cb));
-                  });
+                  },
+                  setup_span);
             },
             setup_span);
 }
@@ -1278,7 +1294,8 @@ void GriphonController::groom_new_carrier(NodeId a, NodeId b,
                 rollback_steps(steps, std::move(succeeded),
                                [status, cb = std::move(cb)]() mutable {
                                  cb(status);
-                               });
+                               },
+                               0);
                 return;
               }
               auto carrier = model_->add_otn_carrier(
@@ -1460,11 +1477,7 @@ void GriphonController::on_links_failed(
     // campaigns stand down while it is up.
     storm_active_ = true;
     if (telemetry::Telemetry* t = model_->telemetry()) {
-      t->metrics()
-          .counter("griphon_restoration_storms_total",
-                   "Correlated failure storms entering the restoration "
-                   "pipeline")
-          ->inc();
+      metrics_.storms.in(t->metrics()).inc();
       t->event(telemetry::Severity::kWarn, "restoration", "controller",
                "restoration storm: " + std::to_string(links.size()) +
                    " link(s) across " + std::to_string(event.conduits) +
@@ -1545,7 +1558,7 @@ void GriphonController::on_links_repaired(const std::vector<LinkId>& links) {
 void GriphonController::tail_end_switch(const Connection& c, bool failover) {
   const WavelengthPlan& other = c.traffic_on_standby ? c.plan : *c.standby;
   if (plan_uses_any(other, failures_.believed_failed())) return;
-  model_->engine().schedule(params_.roll_hit, [this, id = c.id, failover]() {
+  model_->engine().schedule(kRollHit, [this, id = c.id, failover]() {
     Connection* c = find_conn(id);
     if (c == nullptr || c->state != ConnectionState::kFailed) return;
     c->traffic_on_standby = !c->traffic_on_standby;
@@ -1609,10 +1622,7 @@ void GriphonController::pump_restorations() {
     if (restore_backlog_.contains(id)) {
       ++stats_.restorations_retried;
       if (telemetry::Telemetry* t = model_->telemetry())
-        t->metrics()
-            .counter("griphon_restoration_retries_total",
-                     "Backlogged restorations relaunched")
-            ->inc();
+        metrics_.retries.in(t->metrics()).inc();
     }
     ++restorations_in_flight_;
     update_restoration_gauges();
@@ -1632,10 +1642,12 @@ void GriphonController::backlog_restoration(ConnectionId id,
                                             const std::string& why) {
   Connection* c = find_conn(id);
   if (c == nullptr || c->protection != ProtectionMode::kRestorable) return;
+  // Timed retries before an entry goes dormant.
+  constexpr int kMaxTimedRetries = 6;
   BacklogEntry& e = restore_backlog_[id];
   ++e.attempts;
   const std::uint64_t gen = ++e.generation;
-  if (e.attempts > params_.restoration.max_timed_retries) {
+  if (e.attempts > kMaxTimedRetries) {
     // Timed retries exhausted: go dormant. Only an external event — a
     // repair, a capacity-freeing teardown or roll — re-arms this entry,
     // so a permanently unroutable connection cannot keep the event loop
@@ -1652,7 +1664,11 @@ void GriphonController::backlog_restoration(ConnectionId id,
     return;
   }
   e.dormant = false;
-  const SimTime delay = restoration_retry_delay(e.attempts);
+  // Retry backoff, 10 s doubling to at most 300 s. Deterministic (no
+  // jitter): chaos soaks compare digests across runs.
+  constexpr SimTime kRetryBase = seconds(10);
+  constexpr SimTime kRetryCap = seconds(300);
+  const SimTime delay = backoff(e.attempts, kRetryBase, kRetryCap);
   if (telemetry::Telemetry* t = model_->telemetry())
     t->event(telemetry::Severity::kInfo, "restoration", "controller",
              "connection " + std::to_string(id.value()) +
@@ -1669,14 +1685,6 @@ void GriphonController::backlog_restoration(ConnectionId id,
     enqueue_restoration(id);
   });
   update_restoration_gauges();
-}
-
-SimTime GriphonController::restoration_retry_delay(int attempt) const {
-  // Deterministic (no jitter): chaos soaks compare digests across runs.
-  double delay = to_seconds(params_.restoration.retry_base);
-  for (int i = 1; i < attempt; ++i)
-    delay *= params_.restoration.retry_multiplier;
-  return std::min(params_.restoration.retry_max, from_seconds(delay));
 }
 
 void GriphonController::kick_restoration_backlog(bool reset_attempts) {
@@ -1711,18 +1719,11 @@ void GriphonController::update_restoration_gauges() {
   telemetry::Telemetry* t = model_->telemetry();
   if (t == nullptr) return;
   auto& m = t->metrics();
-  m.gauge("griphon_restoration_backlog_depth",
-          "Failed restorations awaiting retry (armed + dormant)")
-      ->set(static_cast<double>(restore_backlog_.size()));
-  m.gauge("griphon_restoration_queue_depth",
-          "Failed connections ready for restoration, tier-ordered")
-      ->set(static_cast<double>(restore_queue_.size()));
-  m.gauge("griphon_restoration_in_flight",
-          "Restoration command trains currently running")
-      ->set(static_cast<double>(restorations_in_flight_));
-  m.gauge("griphon_restoration_storm_active",
-          "1 while a correlated failure storm is being worked")
-      ->set(storm_active_ ? 1.0 : 0.0);
+  metrics_.backlog_depth.in(m).set(
+      static_cast<double>(restore_backlog_.size()));
+  metrics_.queue_depth.in(m).set(static_cast<double>(restore_queue_.size()));
+  metrics_.in_flight.in(m).set(static_cast<double>(restorations_in_flight_));
+  metrics_.storm_active.in(m).set(storm_active_ ? 1.0 : 0.0);
 }
 
 void GriphonController::restore_wavelength(ConnectionId id,
@@ -1753,15 +1754,12 @@ void GriphonController::restore_wavelength(ConnectionId id,
       c->op_span = 0;
     }
     auto& m = t->metrics();
-    m.counter(ok ? "griphon_controller_restorations_ok_total"
-                 : "griphon_controller_restorations_failed_total",
-              ok ? "Wavelength restorations completed"
-                 : "Wavelength restoration attempts that failed")
-        ->inc();
+    (ok ? metrics_.restorations_ok : metrics_.restorations_failed)
+        .in(m)
+        .inc();
     if (ok)
-      m.histogram("griphon_controller_restore_seconds",
-                  "Restoration start to traffic back, end to end")
-          ->observe(to_seconds(model_->engine().now() - restore_started));
+      metrics_.restore_seconds.in(m).observe(
+          to_seconds(model_->engine().now() - restore_started));
     t->event(ok ? telemetry::Severity::kInfo : telemetry::Severity::kWarn,
              "lifecycle", "controller",
              "connection " + std::to_string(id.value()) +
@@ -1782,10 +1780,8 @@ void GriphonController::restore_wavelength(ConnectionId id,
     std::uint64_t replan_span = 0;
     if (telemetry::Telemetry* t = model_->telemetry())
       replan_span = t->span_start("replan", "controller", 0, c->op_span);
-    const SimTime think =
-        params_.path_computation.sample(model_->engine().rng());
-    model_->engine().schedule(think, [this, id, done, close_restore,
-                                      replan_span]() {
+    model_->engine().schedule(kPathComputation, [this, id, done,
+                                                 close_restore, replan_span]() {
       Connection* c = find_conn(id);
       if (c == nullptr || c->state != ConnectionState::kRestoring) {
         if (telemetry::Telemetry* t = model_->telemetry())
@@ -1824,11 +1820,7 @@ void GriphonController::restore_wavelength(ConnectionId id,
         if (plan.ok()) {
           ++stats_.restorations_non_diverse;
           if (telemetry::Telemetry* t = model_->telemetry()) {
-            t->metrics()
-                .counter("griphon_restoration_non_diverse_total",
-                         "Restorations that fell back to a non-SRLG-"
-                         "diverse path")
-                ->inc();
+            metrics_.non_diverse.in(t->metrics()).inc();
             t->event(telemetry::Severity::kWarn, "restoration", "controller",
                      "connection " + std::to_string(id.value()) +
                          ": no SRLG-diverse route; restoring onto a conduit "
@@ -1845,23 +1837,20 @@ void GriphonController::restore_wavelength(ConnectionId id,
         // The freed capacity lands asynchronously as those teardowns
         // complete, each one kicking the backlog this failure is about
         // to enter.
+        // Preemption rounds one connection may trigger before it has to
+        // wait for organic capacity.
+        constexpr int kMaxPreemptionsPerConnection = 2;
         if (plan.error().code() == ErrorCode::kResourceExhausted &&
-            c->tier == ServiceTier::kGold &&
-            params_.restoration.preempt_bod_for_gold && preemption_hook_) {
+            c->tier == ServiceTier::kGold && preemption_hook_) {
           BacklogEntry& e = restore_backlog_[id];
-          if (e.preemptions <
-              params_.restoration.max_preemptions_per_connection) {
+          if (e.preemptions < kMaxPreemptionsPerConnection) {
             ++e.preemptions;
             ++stats_.preemptions_requested;
             const std::size_t freed = preemption_hook_(
                 c->src_pop, c->dst_pop, c->rate, avoid.links);
             stats_.bod_windows_preempted += freed;
             if (telemetry::Telemetry* t = model_->telemetry()) {
-              t->metrics()
-                  .counter("griphon_restoration_preemptions_total",
-                           "Best-effort BoD windows preempted for gold "
-                           "restorations")
-                  ->inc(freed);
+              metrics_.preemptions.in(t->metrics()).inc(freed);
               t->event(telemetry::Severity::kWarn, "restoration",
                        "controller",
                        "gold restoration " + std::to_string(id.value()) +
@@ -1922,7 +1911,8 @@ void GriphonController::restore_wavelength(ConnectionId id,
                       // half-built path — a retry must not race its own
                       // cleanup.
                       backlog_restoration(id, why);
-                    });
+                    },
+                    c->op_span);
                     close_restore(false, why);
                   }
                   done();
@@ -2001,10 +1991,7 @@ void GriphonController::roll_to_plan(ConnectionId id,
     if (telemetry::Telemetry* t = model_->telemetry()) {
       t->span_end(roll_span, false, why);
       if (c.op_span == roll_span) c.op_span = 0;
-      t->metrics()
-          .counter("griphon_controller_rolls_failed_total",
-                   "Bridge-and-roll attempts that failed")
-          ->inc();
+      metrics_.rolls_failed.in(t->metrics()).inc();
     }
   };
   // Bridge: build the new path end to end while traffic rides the old one.
@@ -2038,12 +2025,13 @@ void GriphonController::roll_to_plan(ConnectionId id,
                            c->state == ConnectionState::kRolling)
                          set_state(*c, ConnectionState::kActive);
                        cb(out);
-                     });
+                     },
+                     roll_span);
       return;
     }
     // Roll: the NTE bridges the client signal to both paths; the receive
     // side selects the new one. The service hit is tens of milliseconds.
-    model_->engine().schedule(params_.roll_hit, [this, id, new_plan, steps,
+    model_->engine().schedule(kRollHit, [this, id, new_plan, steps,
                                                  roll_span, roll_failed,
                                                  cb = std::move(cb)]() mutable {
       Connection* c = find_conn(id);
@@ -2055,29 +2043,28 @@ void GriphonController::roll_to_plan(ConnectionId id,
         roll_failed(*c, "superseded by failure handling");
         std::vector<std::size_t> all(steps->size());
         std::iota(all.begin(), all.end(), 0);
-        rollback_steps(steps, std::move(all), [cb = std::move(cb)]() mutable {
-          cb(Status{ErrorCode::kConflict,
-                    "controller: connection failed before the roll; "
-                    "restoration owns recovery"});
-        });
+        rollback_steps(
+            steps, std::move(all),
+            [cb = std::move(cb)]() mutable {
+              cb(Status{ErrorCode::kConflict,
+                        "controller: connection failed before the roll; "
+                        "restoration owns recovery"});
+            },
+            roll_span);
         return;
       }
       const WavelengthPlan old_plan = c->plan;
       c->plan = new_plan;
       ++c->rolls;
-      c->roll_hit_total += params_.roll_hit;
+      c->roll_hit_total += kRollHit;
       ++stats_.rolls_ok;
       if (telemetry::Telemetry* t = model_->telemetry()) {
         // The roll itself: the sub-second traffic hit, recorded in
         // hindsight now that the receive side has selected the new path.
         t->span_record("roll", "controller", 0, c->op_span,
-                       t->now() - params_.roll_hit, t->now());
-        t->metrics()
-            .histogram("griphon_controller_roll_hit_seconds",
-                       "Traffic hit while rolling between bridged paths",
-                       {0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-                        1.0})
-            ->observe(to_seconds(params_.roll_hit));
+                       t->now() - kRollHit, t->now());
+        metrics_.roll_hit_seconds.in(t->metrics())
+            .observe(to_seconds(kRollHit));
       }
       // Re-patch the FXCs to the new OTs (hitless, signal already rolled),
       // then release the old path.
@@ -2135,10 +2122,7 @@ void GriphonController::roll_to_plan(ConnectionId id,
           t->span_end(repatch_span);
           t->span_end(roll_span);
           if (c != nullptr && c->op_span == roll_span) c->op_span = 0;
-          t->metrics()
-              .counter("griphon_controller_rolls_ok_total",
-                       "Bridge-and-roll operations completed")
-              ->inc();
+          metrics_.rolls_ok.in(t->metrics()).inc();
           t->event(telemetry::Severity::kInfo, "lifecycle", "controller",
                    "connection " + std::to_string(id.value()) +
                        " rolled onto its new path",
@@ -2172,8 +2156,8 @@ void GriphonController::bridge_and_roll(ConnectionId id,
     cb(Status{ErrorCode::kConflict, "controller: connection not active"});
     return;
   }
-  const SimTime think = params_.path_computation.sample(model_->engine().rng());
-  model_->engine().schedule(think, [this, id, avoid, cb = std::move(cb)]() mutable {
+  model_->engine().schedule(kPathComputation, [this, id, avoid,
+                                               cb = std::move(cb)]() mutable {
     Connection* c = find_conn(id);
     if (c == nullptr || !c->is_up()) {
       cb(Status{ErrorCode::kConflict, "controller: connection went away"});
@@ -2488,15 +2472,20 @@ void GriphonController::schedule_resync() {
   if (resync_scheduled_) return;
   resync_scheduled_ = true;
   resync_attempts_ = 0;
-  model_->engine().schedule(params_.resync_delay,
-                            [this]() { try_auto_resync(); });
+  // EMS-restart alarm -> reconciliation audit, after this settle delay.
+  constexpr SimTime kResyncDelay = seconds(5);
+  model_->engine().schedule(kResyncDelay, [this]() { try_auto_resync(); });
 }
 
 void GriphonController::try_auto_resync() {
   if (!quiescent()) {
-    if (++resync_attempts_ < params_.resync_max_deferrals) {
-      model_->engine().schedule(params_.resync_retry,
-                                [this]() { try_auto_resync(); });
+    // Audit retry cadence while command trains are still in flight, and
+    // how many times to re-check before giving up (the next restart alarm
+    // re-arms it).
+    constexpr SimTime kResyncRetry = seconds(5);
+    constexpr int kResyncMaxDeferrals = 64;
+    if (++resync_attempts_ < kResyncMaxDeferrals) {
+      model_->engine().schedule(kResyncRetry, [this]() { try_auto_resync(); });
     } else {
       // Never went quiet; stand down. The next restart alarm re-arms us.
       resync_scheduled_ = false;
@@ -2599,18 +2588,10 @@ void GriphonController::do_resync(
   stats_.resync_drift += report->drifted_connections;
   if (telemetry::Telemetry* t = model_->telemetry()) {
     auto& m = t->metrics();
-    m.counter("griphon_controller_resync_runs_total",
-              "Reconciliation audits run")
-        ->inc();
-    m.counter("griphon_controller_resync_leaks_total",
-              "Unowned device configuration found by audits")
-        ->inc(report->total_leaks());
-    m.counter("griphon_controller_resync_drift_total",
-              "Connections found missing device configuration")
-        ->inc(report->drifted_connections);
-    m.counter("griphon_controller_resync_repairs_total",
-              "Repair commands issued by audits")
-        ->inc(report->repair_commands);
+    metrics_.resync_runs.in(m).inc();
+    metrics_.resync_leaks.in(m).inc(report->total_leaks());
+    metrics_.resync_drift.in(m).inc(report->drifted_connections);
+    metrics_.resync_repairs.in(m).inc(report->repair_commands);
     t->event(report->repair_commands == 0 ? telemetry::Severity::kInfo
                                           : telemetry::Severity::kWarn,
              "resync", "controller",

@@ -47,12 +47,6 @@ class GriphonController {
   struct Params {
     RwaEngine::Params rwa{};
     ExecMode exec_mode = ExecMode::kDag;
-    FailureManager::Params failure{};
-    /// Route computation time inside the controller.
-    LatencyModel path_computation =
-        LatencyModel::fixed(milliseconds(500));
-    /// Traffic hit when rolling between bridged paths.
-    SimTime roll_hit = milliseconds(50);
 
     /// Restoration-storm pipeline (DESIGN.md §17). Failed restorable
     /// connections drain from a tier-ordered queue; up to
@@ -60,50 +54,17 @@ class GriphonController {
     /// serial pump), each admitted against its dominant EMS domain so a
     /// storm cannot stampede one EMS past its circuit breaker. A failed
     /// attempt lands in a persistent retry backlog with exponential
-    /// backoff; after `max_timed_retries` the entry goes dormant and only
-    /// an external event (repair, capacity-freeing teardown or roll)
-    /// re-arms it — so the event loop always drains.
+    /// backoff; after a bounded number of timed retries the entry goes
+    /// dormant and only an external event (repair, capacity-freeing
+    /// teardown or roll) re-arms it — so the event loop always drains.
     struct RestorationPolicy {
       std::size_t max_concurrent = 1;
       /// Restorations in flight at once against the ROADM EMS, which
       /// dominates every restoration train. All restorations count against
       /// it, so the effective cap is min(max_concurrent, this).
       std::size_t per_domain_inflight = 4;
-      int max_timed_retries = 6;
-      SimTime retry_base = seconds(10);
-      double retry_multiplier = 2.0;
-      SimTime retry_max = seconds(300);
-      /// Gold restorations out of wavelengths may preempt best-effort BoD
-      /// calendar windows (via the preemption hook) to free channels.
-      bool preempt_bod_for_gold = true;
-      /// Preemption rounds one connection may trigger before it has to
-      /// wait for organic capacity.
-      int max_preemptions_per_connection = 2;
     };
     RestorationPolicy restoration{};
-
-    /// Application-level retry of EMS commands, on top of the protocol
-    /// client's frame retransmissions. Timeout retries reuse the original
-    /// request id (idempotency key — the EMS response cache absorbs a
-    /// duplicated execution); retryable NACKs (kBusy) retry under a fresh
-    /// id after backoff.
-    struct RetryPolicy {
-      int max_attempts = 3;  ///< total tries per command
-      SimTime base_backoff = seconds(2);
-      double backoff_multiplier = 2.0;
-      SimTime max_backoff = seconds(30);
-      double jitter = 0.25;  ///< uniform +/- fraction of each delay
-    };
-    RetryPolicy command_retry{};
-    /// Per-EMS-domain circuit breaker (consecutive-timeout trip).
-    EmsHealthTracker::Params ems_health{};
-    /// EMS-restart alarm -> reconciliation audit, after this settle delay.
-    SimTime resync_delay = seconds(5);
-    /// Audit retry cadence while command trains are still in flight, and
-    /// how many times to re-check before giving up (the next restart alarm
-    /// re-arms it).
-    SimTime resync_retry = seconds(5);
-    int resync_max_deferrals = 64;
   };
 
   using SetupCallback = std::function<void(Result<ConnectionId>)>;
@@ -333,15 +294,16 @@ class GriphonController {
   void issue_command(proto::RequestClient* client, proto::Message message,
                      proto::RequestClient::ResponseCallback cb,
                      int attempt = 1, std::uint64_t idem_key = 0);
-  [[nodiscard]] SimTime retry_delay(int attempt);
   [[nodiscard]] const std::string& domain_of(
       const proto::RequestClient* client) const;
   /// Run undo commands of the given steps in reverse completion order
   /// (dependents' undos strictly before their dependencies' undos),
-  /// ignoring errors, then call done.
+  /// ignoring errors, then call done. `parent_span` is the failed
+  /// operation's root span (0 for none): each undo dialogue records a
+  /// child span under it, as the forward train did.
   void rollback_steps(std::shared_ptr<StepList> steps,
                       std::vector<std::size_t> succeeded,
-                      std::function<void()> done);
+                      std::function<void()> done, std::uint64_t parent_span);
 
   /// Probe-free optical admission: re-checks the plan's transparent
   /// segments against the reach model's OSNR budget before any EMS command
@@ -387,7 +349,6 @@ class GriphonController {
   /// Record a failed attempt in the retry backlog: exponential backoff
   /// while timed retries remain, dormant (event-driven only) after.
   void backlog_restoration(ConnectionId id, const std::string& why);
-  [[nodiscard]] SimTime restoration_retry_delay(int attempt) const;
   /// Clear the storm flag once the pipeline has fully drained.
   void maybe_clear_storm();
   void update_restoration_gauges();
@@ -476,10 +437,13 @@ class GriphonController {
     telemetry::CachedCounter total;
     telemetry::KeyedCounters by_customer;
   };
-  /// Metric handles of the per-connection paths, registered on first use:
-  /// with telemetry armed, a request, setup or release looks up nothing
-  /// by name.
-  struct ConnectionMetrics {
+  /// Every metric the controller records, registered on first use: with
+  /// telemetry armed, no request, setup, release, restoration, roll or
+  /// audit looks up a metric by name.
+  struct Metrics {
+    static constexpr double kRollHitBuckets[] = {0.001, 0.005, 0.01, 0.025,
+                                                 0.05,  0.1,   0.25, 0.5,
+                                                 1.0};
     telemetry::CachedCounter requests{
         "griphon_controller_requests_total",
         "Connection requests accepted for orchestration"};
@@ -492,8 +456,59 @@ class GriphonController {
         "Request to traffic-flowing, end to end"};
     CustomerCounter releases{"griphon_controller_releases_total",
                              "Connections released"};
+    telemetry::CachedCounter restorations_ok{
+        "griphon_controller_restorations_ok_total",
+        "Wavelength restorations completed"};
+    telemetry::CachedCounter restorations_failed{
+        "griphon_controller_restorations_failed_total",
+        "Wavelength restoration attempts that failed"};
+    telemetry::CachedHistogram restore_seconds{
+        "griphon_controller_restore_seconds",
+        "Restoration start to traffic back, end to end"};
+    telemetry::CachedCounter rolls_ok{"griphon_controller_rolls_ok_total",
+                                      "Bridge-and-roll operations completed"};
+    telemetry::CachedCounter rolls_failed{
+        "griphon_controller_rolls_failed_total",
+        "Bridge-and-roll attempts that failed"};
+    telemetry::CachedHistogram roll_hit_seconds{
+        "griphon_controller_roll_hit_seconds",
+        "Traffic hit while rolling between bridged paths", kRollHitBuckets};
+    telemetry::CachedCounter resync_runs{
+        "griphon_controller_resync_runs_total", "Reconciliation audits run"};
+    telemetry::CachedCounter resync_leaks{
+        "griphon_controller_resync_leaks_total",
+        "Unowned device configuration found by audits"};
+    telemetry::CachedCounter resync_drift{
+        "griphon_controller_resync_drift_total",
+        "Connections found missing device configuration"};
+    telemetry::CachedCounter resync_repairs{
+        "griphon_controller_resync_repairs_total",
+        "Repair commands issued by audits"};
+    telemetry::CachedCounter storms{
+        "griphon_restoration_storms_total",
+        "Correlated failure storms entering the restoration pipeline"};
+    telemetry::CachedCounter retries{"griphon_restoration_retries_total",
+                                     "Backlogged restorations relaunched"};
+    telemetry::CachedCounter non_diverse{
+        "griphon_restoration_non_diverse_total",
+        "Restorations that fell back to a non-SRLG-diverse path"};
+    telemetry::CachedCounter preemptions{
+        "griphon_restoration_preemptions_total",
+        "Best-effort BoD windows preempted for gold restorations"};
+    telemetry::CachedGauge backlog_depth{
+        "griphon_restoration_backlog_depth",
+        "Failed restorations awaiting retry (armed + dormant)"};
+    telemetry::CachedGauge queue_depth{
+        "griphon_restoration_queue_depth",
+        "Failed connections ready for restoration, tier-ordered"};
+    telemetry::CachedGauge in_flight{
+        "griphon_restoration_in_flight",
+        "Restoration command trains currently running"};
+    telemetry::CachedGauge storm_active{
+        "griphon_restoration_storm_active",
+        "1 while a correlated failure storm is being worked"};
   };
-  ConnectionMetrics metrics_;
+  Metrics metrics_;
 };
 
 }  // namespace griphon::core

@@ -4,14 +4,17 @@
 
 namespace griphon::core {
 
+namespace {
+
+/// Alarm correlation window.
+constexpr SimTime kHolddown = milliseconds(2500);
+
+}  // namespace
+
 void FailureManager::ingest(const Alarm& alarm) {
   ++ingested_;
   if (telemetry_ != nullptr)
-    telemetry_
-        ->metrics()
-        .counter("griphon_failure_alarms_ingested_total",
-                 "Raw alarms fed to the failure manager")
-        ->inc();
+    metrics_.alarms_ingested.in(telemetry_->metrics()).inc();
   if (!alarm.link) return;  // only line-side alarms localize fiber faults
   switch (alarm.type) {
     case AlarmType::kLos:
@@ -23,7 +26,7 @@ void FailureManager::ingest(const Alarm& alarm) {
       if (!failure_window_open_) {
         failure_window_open_ = true;
         failure_window_opened_at_ = engine_->now();
-        engine_->schedule(params_.holddown, [this]() {
+        engine_->schedule(kHolddown, [this]() {
           failure_window_open_ = false;
           correlate_failures();
         });
@@ -33,7 +36,7 @@ void FailureManager::ingest(const Alarm& alarm) {
       pending_clear_[*alarm.link].insert(alarm.source);
       if (!repair_window_open_) {
         repair_window_open_ = true;
-        engine_->schedule(params_.holddown, [this]() {
+        engine_->schedule(kHolddown, [this]() {
           repair_window_open_ = false;
           correlate_repairs();
         });
@@ -66,8 +69,12 @@ FailureManager::FailureEvent FailureManager::classify(
     }
     if (group_size >= 2) correlated = true;
   }
+  // A window localizing at least this many links is a storm even without
+  // SRLG confirmation (a wide uncorrelated burst stresses the restoration
+  // pipeline exactly like a conduit cut does).
+  constexpr std::size_t kStormLinkThreshold = 4;
   event.storm =
-      correlated || event.links.size() >= params_.storm_link_threshold;
+      correlated || event.links.size() >= kStormLinkThreshold;
   return event;
 }
 
@@ -94,16 +101,10 @@ void FailureManager::correlate_failures() {
             std::to_string(event.conduits) + " conduit(s)" +
             (event.storm ? ", storm" : ""));
     auto& m = telemetry_->metrics();
-    m.counter("griphon_failure_links_localized_total",
-              "Fiber faults localized by alarm correlation")
-        ->inc(event.links.size());
-    m.histogram("griphon_failure_localize_seconds",
-                "First alarm to localized root cause")
-        ->observe(to_seconds(engine_->now() - failure_window_opened_at_));
-    if (event.storm)
-      m.counter("griphon_failure_storms_total",
-                "Correlated failure storms (SRLG-sibling or wide bursts)")
-          ->inc();
+    metrics_.links_localized.in(m).inc(event.links.size());
+    metrics_.localize_seconds.in(m).observe(
+        to_seconds(engine_->now() - failure_window_opened_at_));
+    if (event.storm) metrics_.storms.in(m).inc();
   }
   if (failure_handler_) failure_handler_(event);
 }
@@ -117,11 +118,7 @@ void FailureManager::correlate_repairs() {
   }
   pending_clear_.clear();
   if (telemetry_ != nullptr && !repaired.empty())
-    telemetry_
-        ->metrics()
-        .counter("griphon_failure_links_repaired_total",
-                 "Repairs confirmed by CLEAR correlation")
-        ->inc(repaired.size());
+    metrics_.links_repaired.in(telemetry_->metrics()).inc(repaired.size());
   if (!repaired.empty() && repair_handler_) repair_handler_(repaired);
 }
 

@@ -23,6 +23,7 @@
 
 #include "common/alarm.hpp"
 #include "sim/engine.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace griphon::telemetry {
 class Telemetry;
@@ -37,7 +38,7 @@ class FailureManager {
   /// shared-risk groups among the links (links without a group count as a
   /// conduit of their own); `storm` is set when the event is correlated —
   /// an SRLG group lost two or more links at once, or the window
-  /// collapsed at least `Params::storm_link_threshold` links.
+  /// collapsed a wide burst of links (four or more).
   struct FailureEvent {
     std::vector<LinkId> links;
     std::size_t conduits = 0;
@@ -52,16 +53,7 @@ class FailureManager {
   /// group (no storm classification by conduit).
   using SrlgResolver = std::function<std::vector<LinkId>(LinkId)>;
 
-  struct Params {
-    SimTime holddown = milliseconds(2500);  ///< alarm correlation window
-    /// A window localizing at least this many links is a storm even
-    /// without SRLG confirmation (a wide uncorrelated burst stresses the
-    /// restoration pipeline exactly like a conduit cut does).
-    std::size_t storm_link_threshold = 4;
-  };
-
-  FailureManager(sim::Engine* engine, Params params)
-      : engine_(engine), params_(params) {}
+  explicit FailureManager(sim::Engine* engine) : engine_(engine) {}
 
   void on_failure(FailureHandler handler) {
     failure_handler_ = std::move(handler);
@@ -102,7 +94,6 @@ class FailureManager {
   [[nodiscard]] FailureEvent classify(std::vector<LinkId> links) const;
 
   sim::Engine* engine_;
-  Params params_;
   FailureHandler failure_handler_;
   RepairHandler repair_handler_;
   SrlgResolver srlg_resolver_;
@@ -117,6 +108,26 @@ class FailureManager {
   std::size_t ingested_ = 0;
   std::size_t storms_seen_ = 0;
   telemetry::Telemetry* telemetry_ = nullptr;
+  /// Metric handles, registered on first use: an armed ingest looks up
+  /// nothing by name.
+  struct Metrics {
+    telemetry::CachedCounter alarms_ingested{
+        "griphon_failure_alarms_ingested_total",
+        "Raw alarms fed to the failure manager"};
+    telemetry::CachedCounter links_localized{
+        "griphon_failure_links_localized_total",
+        "Fiber faults localized by alarm correlation"};
+    telemetry::CachedHistogram localize_seconds{
+        "griphon_failure_localize_seconds",
+        "First alarm to localized root cause"};
+    telemetry::CachedCounter storms{
+        "griphon_failure_storms_total",
+        "Correlated failure storms (SRLG-sibling or wide bursts)"};
+    telemetry::CachedCounter links_repaired{
+        "griphon_failure_links_repaired_total",
+        "Repairs confirmed by CLEAR correlation"};
+  };
+  Metrics metrics_;
 };
 
 }  // namespace griphon::core

@@ -9,7 +9,7 @@ namespace griphon::core {
 NetworkModel::NetworkModel(sim::Engine* engine, topology::Graph graph,
                            Config config)
     : engine_(engine), graph_(std::move(graph)), config_(config),
-      grid_(config.channels), reach_(config.reach),
+      grid_(config.channels),
       link_failed_(graph_.links().size(), false) {
   // One ROADM (with degrees matching the node's links) and one FXC per node.
   for (const auto& node : graph_.nodes()) {
@@ -30,8 +30,7 @@ NetworkModel::NetworkModel(sim::Engine* engine, topology::Graph graph,
     otn_ = std::make_unique<otn::OtnLayer>(&graph_);
     for (const auto& node : graph_.nodes())
       otn_->add_switch(node.id, config_.otn_client_ports);
-    restorer_ = std::make_unique<otn::MeshRestorer>(
-        engine_, otn_.get(), otn::MeshRestorer::Params{});
+    restorer_ = std::make_unique<otn::MeshRestorer>(engine_, otn_.get());
   }
 
   // EMS domains: ROADM (also OTs/regens/power), FXC, OTN, NTE.
@@ -39,8 +38,8 @@ NetworkModel::NetworkModel(sim::Engine* engine, topology::Graph graph,
                       std::unique_ptr<ems::EmsServer>& server,
                       std::unique_ptr<proto::RequestClient>& client,
                       const std::string& name) {
-    chan = std::make_unique<proto::ControlChannel>(engine_,
-                                                   config_.channel_params);
+    chan = std::make_unique<proto::ControlChannel>(
+        engine_, proto::ControlChannel::Params{});
     server = std::make_unique<ems::EmsServer>(engine_, &chan->b(),
                                               config_.ems_profile, name);
     proto::RequestClient::Params params;
@@ -250,10 +249,7 @@ void NetworkModel::fail_link(LinkId link) {
   ++topology_version_;
   link_changed(link);
   if (telemetry_ != nullptr) {
-    telemetry_
-        ->metrics()
-        .counter("griphon_plant_fiber_cuts_total", "Fiber cuts injected")
-        ->inc();
+    fiber_cuts_.in(telemetry_->metrics()).inc();
     telemetry_->note_link_failed(link.value());
     telemetry_->event(telemetry::Severity::kWarn, "plant", "plant",
                       "fiber cut on " + graph_.link(link).name);
@@ -272,10 +268,7 @@ void NetworkModel::repair_link(LinkId link) {
   ++topology_version_;
   link_changed(link);
   if (telemetry_ != nullptr) {
-    telemetry_
-        ->metrics()
-        .counter("griphon_plant_fiber_repairs_total", "Fiber repairs")
-        ->inc();
+    fiber_repairs_.in(telemetry_->metrics()).inc();
     telemetry_->event(telemetry::Severity::kInfo, "plant", "plant",
                       "fiber repaired on " + graph_.link(link).name);
   }

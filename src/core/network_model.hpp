@@ -27,6 +27,7 @@
 #include "proto/channel.hpp"
 #include "proto/client.hpp"
 #include "sim/engine.hpp"
+#include "telemetry/metrics.hpp"
 #include "topology/graph.hpp"
 
 namespace griphon::telemetry {
@@ -57,8 +58,6 @@ class NetworkModel {
     std::size_t otn_client_ports = 16;    ///< per OTN switch
     bool with_otn = true;
     ems::EmsLatencyProfile ems_profile = ems::EmsLatencyProfile::testbed_2011();
-    proto::ControlChannel::Params channel_params{};
-    dwdm::ReachModel::Params reach{};
   };
 
   NetworkModel(sim::Engine* engine, topology::Graph graph, Config config);
@@ -241,6 +240,10 @@ class NetworkModel {
       otn_client_, nte_client_;
 
   telemetry::Telemetry* telemetry_ = nullptr;
+  telemetry::CachedCounter fiber_cuts_{"griphon_plant_fiber_cuts_total",
+                                       "Fiber cuts injected"};
+  telemetry::CachedCounter fiber_repairs_{"griphon_plant_fiber_repairs_total",
+                                          "Fiber repairs"};
   std::vector<bool> link_failed_;  // by link index
   std::uint64_t plant_version_ = 0;
   std::uint64_t topology_version_ = 0;

@@ -39,7 +39,7 @@ BackboneScenario::BackboneScenario(std::uint64_t seed, Options options)
     : engine(seed) {
   model = std::make_unique<NetworkModel>(&engine, topology::us_backbone(),
                                          options.config);
-  if (options.config.with_otn && options.provision_otn_carriers)
+  if (options.config.with_otn)
     provision_carriers_everywhere(*model, rates::k10G);
   controller = std::make_unique<GriphonController>(model.get(),
                                                    options.params);

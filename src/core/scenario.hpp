@@ -44,7 +44,6 @@ struct BackboneScenario {
     std::size_t customers = 2;
     std::size_t sites_per_customer = 3;
     DataRate quota = DataRate::gbps(200);
-    bool provision_otn_carriers = true;
     NetworkModel::Config config{};
     GriphonController::Params params{};
   };

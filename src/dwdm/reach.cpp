@@ -6,7 +6,16 @@
 
 namespace griphon::dwdm {
 
-ReachModel::ReachModel() : params_(Params{}) {}
+namespace {
+
+/// OSNR after the transmit amplifier.
+constexpr double kLaunchOsnrDb = 35.0;
+/// Noise added per ~100 km span.
+constexpr double kSpanPenaltyDb = 0.35;
+/// Filter narrowing per express hop.
+constexpr double kRoadmPassPenaltyDb = 0.4;
+
+}  // namespace
 
 LineRateProfile profile_10g() {
   return LineRateProfile{rates::k10G, 12.0, Distance::km(2800)};
@@ -26,17 +35,17 @@ LineRateProfile profile_for(DataRate rate) {
 
 double ReachModel::osnr_at_end(const topology::Graph& g,
                                const topology::Path& path) const {
-  double osnr = params_.launch_osnr_db;
+  double osnr = kLaunchOsnrDb;
   for (const LinkId lid : path.links) {
     for (const auto& span : g.link(lid).spans) {
       // Penalty scales with span length relative to the nominal 100 km.
-      osnr -= params_.span_penalty_db * (span.length.in_km() / 100.0);
+      osnr -= kSpanPenaltyDb * (span.length.in_km() / 100.0);
     }
   }
   // Each intermediate ROADM the signal expresses through narrows the
   // passband and adds loss.
   if (path.nodes.size() > 2)
-    osnr -= params_.roadm_pass_penalty_db *
+    osnr -= kRoadmPassPenaltyDb *
             static_cast<double>(path.nodes.size() - 2);
   return osnr;
 }
@@ -62,16 +71,16 @@ std::optional<std::vector<ReachModel::Segment>> ReachModel::try_segment(
     std::size_t end = start;
     bool first_link_feasible = false;
     Distance length{};
-    double osnr = params_.launch_osnr_db;
+    double osnr = kLaunchOsnrDb;
     for (std::size_t trial = start; trial < path.links.size(); ++trial) {
       const topology::Link& l = g.link(path.links[trial]);
       length += l.length();
       for (const auto& span : l.spans)
-        osnr -= params_.span_penalty_db * (span.length.in_km() / 100.0);
+        osnr -= kSpanPenaltyDb * (span.length.in_km() / 100.0);
       double osnr_end = osnr;
       const std::size_t sub_nodes = trial - start + 2;
       if (sub_nodes > 2)
-        osnr_end -= params_.roadm_pass_penalty_db *
+        osnr_end -= kRoadmPassPenaltyDb *
                     static_cast<double>(sub_nodes - 2);
       if (length > profile.max_reach || osnr_end < profile.required_osnr_db)
         break;
@@ -106,17 +115,17 @@ ReachModel::Admission ReachModel::admit(
   verdict.worst_margin_db = std::numeric_limits<double>::infinity();
   for (const Segment& seg : segments) {
     Distance length{};
-    double osnr = params_.launch_osnr_db;
+    double osnr = kLaunchOsnrDb;
     for (std::size_t li = seg.first_link;
          li <= seg.last_link && li < path.links.size(); ++li) {
       const topology::Link& l = g.link(path.links[li]);
       length += l.length();
       for (const auto& span : l.spans)
-        osnr -= params_.span_penalty_db * (span.length.in_km() / 100.0);
+        osnr -= kSpanPenaltyDb * (span.length.in_km() / 100.0);
     }
     const std::size_t seg_nodes = seg.last_link - seg.first_link + 2;
     if (seg_nodes > 2)
-      osnr -= params_.roadm_pass_penalty_db *
+      osnr -= kRoadmPassPenaltyDb *
               static_cast<double>(seg_nodes - 2);
     double margin = osnr - profile.required_osnr_db;
     if (length > profile.max_reach)

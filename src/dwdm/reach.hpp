@@ -33,15 +33,6 @@ struct LineRateProfile {
 
 class ReachModel {
  public:
-  struct Params {
-    double launch_osnr_db = 35.0;   ///< after the transmit amplifier
-    double span_penalty_db = 0.35;  ///< noise added per ~100 km span
-    double roadm_pass_penalty_db = 0.4;  ///< filter narrowing per express hop
-  };
-
-  ReachModel();
-  explicit ReachModel(Params params) : params_(params) {}
-
   /// OSNR at the receiver after traversing `path` transparently.
   [[nodiscard]] double osnr_at_end(const topology::Graph& g,
                                    const topology::Path& path) const;
@@ -89,9 +80,6 @@ class ReachModel {
                                 const topology::Path& path,
                                 const std::vector<Segment>& segments,
                                 const LineRateProfile& profile) const;
-
- private:
-  Params params_;
 };
 
 }  // namespace griphon::dwdm

@@ -1,5 +1,6 @@
 #include "otn/restorer.hpp"
 
+#include "common/rng.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace griphon::otn {
@@ -10,7 +11,11 @@ void MeshRestorer::link_failed(LinkId link) {
   for (const OduCircuitId id : affected) {
     const auto& c = layer_->circuit(id);
     if (!c.is_protected) continue;
-    const SimTime delay = params_.activation.sample(engine_->rng());
+    // Per-circuit failover signaling + switch fabric time.
+    const SimTime delay =
+        LatencyModel::normal(milliseconds(40), milliseconds(110),
+                             milliseconds(25))
+            .sample(engine_->rng());
     engine_->schedule(delay, [this, id, failed_at]() {
       // The circuit may have been released or repaired meanwhile.
       Status status{ErrorCode::kNotFound, "restorer: circuit gone"};

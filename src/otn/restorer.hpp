@@ -11,7 +11,6 @@
 #include <functional>
 #include <map>
 
-#include "common/rng.hpp"
 #include "otn/layer.hpp"
 #include "sim/engine.hpp"
 
@@ -23,20 +22,13 @@ namespace griphon::otn {
 
 class MeshRestorer {
  public:
-  struct Params {
-    /// Per-circuit failover signaling + switch fabric time.
-    LatencyModel activation =
-        LatencyModel::normal(milliseconds(40), milliseconds(110),
-                             milliseconds(25));
-  };
-
   /// Fired when a circuit's restoration attempt finishes.
   using RestoreCallback = std::function<void(OduCircuitId, Status)>;
   /// Fired when a circuit becomes eligible for reversion after repair.
   using RevertEligibleCallback = std::function<void(OduCircuitId)>;
 
-  MeshRestorer(sim::Engine* engine, OtnLayer* layer, Params params)
-      : engine_(engine), layer_(layer), params_(params) {}
+  MeshRestorer(sim::Engine* engine, OtnLayer* layer)
+      : engine_(engine), layer_(layer) {}
 
   void on_restore(RestoreCallback cb) { restore_cb_ = std::move(cb); }
   void on_revert_eligible(RevertEligibleCallback cb) {
@@ -70,7 +62,6 @@ class MeshRestorer {
  private:
   sim::Engine* engine_;
   OtnLayer* layer_;
-  Params params_;
   RestoreCallback restore_cb_;
   RevertEligibleCallback revert_cb_;
   telemetry::Telemetry* telemetry_ = nullptr;

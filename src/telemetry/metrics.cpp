@@ -46,18 +46,6 @@ std::vector<double> duration_buckets() {
           120.0, 180.0, 300.0};
 }
 
-namespace {
-
-/// One thread: a plain counter hands out process-unique registry ids.
-std::uint64_t next_registry_id() noexcept {
-  static std::uint64_t last = 0;
-  return ++last;
-}
-
-}  // namespace
-
-MetricsRegistry::MetricsRegistry() : id_(next_registry_id()) {}
-
 std::string MetricsRegistry::label_key(const Labels& labels) {
   if (labels.empty()) return {};
   Labels sorted = labels;

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -94,8 +95,8 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 
 class MetricsRegistry {
  public:
-  MetricsRegistry();
-  // Cached handles are keyed by id(); a copy would share it.
+  MetricsRegistry() = default;
+  // Cached handles are keyed by identity(); a copy would share it.
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -130,10 +131,13 @@ class MetricsRegistry {
   [[nodiscard]] std::uint64_t by_name_calls() const noexcept {
     return by_name_calls_;
   }
-  /// Unique per registry and never reused within a process, so a handle
-  /// cached under one id can never be mistaken for one of another
-  /// registry, even one built at the same address.
-  [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
+  /// What cached handles key on. A cache holds a copy, which keeps the
+  /// token alive, so no later registry can be given the same token, even
+  /// one built at the same address; the token never reaches any output.
+  using Identity = std::shared_ptr<const void>;
+  [[nodiscard]] const Identity& identity() const noexcept {
+    return identity_;
+  }
 
   /// Prometheus text exposition format (# HELP / # TYPE / samples).
   [[nodiscard]] std::string to_prometheus() const;
@@ -172,27 +176,36 @@ class MetricsRegistry {
   // Ordered map: exposition output is sorted and therefore diffable.
   std::map<std::string, Family> families_;
   std::size_t series_ = 0;
-  std::uint64_t id_;
+  Identity identity_ = std::make_shared<char>();
   mutable std::uint64_t by_name_calls_ = 0;
 };
 
-/// One unlabeled counter or duration histogram (duration_buckets()),
-/// registered by name on its first use and reached through the cached
-/// handle after that; used with another registry it registers there.
-/// Registering on first use (not up front) keeps the exposition free of
-/// series nothing has counted.
+/// One unlabeled counter, gauge or histogram, registered by name on its
+/// first use and reached through the cached handle after that; used with
+/// another registry it registers there. Registering on first use (not up
+/// front) keeps the exposition free of series nothing has counted.
+/// Histograms take duration_buckets() unless given their own bounds.
 template <typename Metric>
 class Cached {
  public:
   Cached(const char* name, const char* help) noexcept
       : name_(name), help_(help) {}
+  /// `bounds` must outlive the handle (a constexpr array, say).
+  Cached(const char* name, const char* help,
+         std::span<const double> bounds) noexcept
+    requires std::is_same_v<Metric, Histogram>
+      : name_(name), help_(help), bounds_(bounds) {}
   Metric& in(MetricsRegistry& m) {
-    if (m.id() != registry_) {
+    if (m.identity() != registry_) {
       if constexpr (std::is_same_v<Metric, Counter>)
         handle_ = m.counter(name_, help_);
-      else
+      else if constexpr (std::is_same_v<Metric, Gauge>)
+        handle_ = m.gauge(name_, help_);
+      else if (bounds_.empty())
         handle_ = m.histogram(name_, help_);
-      registry_ = m.id();
+      else
+        handle_ = m.histogram(name_, help_, {bounds_.begin(), bounds_.end()});
+      registry_ = m.identity();
     }
     return *handle_;
   }
@@ -200,10 +213,12 @@ class Cached {
  private:
   const char* name_;
   const char* help_;
-  std::uint64_t registry_ = 0;  ///< 0: no registry seen yet
+  std::span<const double> bounds_;
+  MetricsRegistry::Identity registry_;  ///< null: no registry seen yet
   Metric* handle_ = nullptr;
 };
 using CachedCounter = Cached<Counter>;
+using CachedGauge = Cached<Gauge>;
 using CachedHistogram = Cached<Histogram>;
 
 /// Cached series of one labeled counter family, one per integer key (a
@@ -216,9 +231,9 @@ class KeyedCounters {
 
   template <typename LabelsOf>
   Counter& in(MetricsRegistry& m, std::uint64_t key, LabelsOf&& labels_of) {
-    if (m.id() != registry_) {
+    if (m.identity() != registry_) {
       series_.clear();
-      registry_ = m.id();
+      registry_ = m.identity();
     }
     auto [it, fresh] = series_.try_emplace(key, nullptr);
     if (fresh) it->second = m.counter(name_, help_, labels_of());
@@ -232,7 +247,7 @@ class KeyedCounters {
  private:
   const char* name_;
   const char* help_;
-  std::uint64_t registry_ = 0;
+  MetricsRegistry::Identity registry_;
   std::unordered_map<std::uint64_t, Counter*> series_;
 };
 
@@ -250,9 +265,9 @@ class CachedLookup {
   explicit CachedLookup(std::string name) : name_(std::move(name)) {}
 
   const T& operator()(const MetricsRegistry& m) {
-    if (m.id() != registry_ || m.size() != size_) {
+    if (m.identity() != registry_ || m.size() != size_) {
       value_ = find(m);
-      registry_ = m.id();
+      registry_ = m.identity();
       size_ = m.size();
     }
     return value_;
@@ -271,7 +286,7 @@ class CachedLookup {
   }
 
   std::string name_;
-  std::uint64_t registry_ = 0;
+  MetricsRegistry::Identity registry_;
   std::size_t size_ = 0;
   T value_{};
 };

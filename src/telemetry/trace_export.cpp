@@ -166,32 +166,31 @@ std::string TraceExporter::to_json(const SpanTracer& tracer,
     os << "\n";
   };
 
-  if (options_.include_metadata) {
-    for (std::size_t i = 0; i < actors.size(); ++i) {
+  // Metadata: process_name / thread_name events.
+  for (std::size_t i = 0; i < actors.size(); ++i) {
+    sep();
+    os << "{\"name\":\"process_name\",";
+    emit_common(os, "M", 0, static_cast<int>(i) + 1, 0);
+    os << ",\"args\":{\"name\":" << json_quote(actors[i]) << "}}";
+  }
+  for (const auto& [pid, lanes] : lanes_of) {
+    for (std::size_t t = 0; t < lanes.size(); ++t) {
       sep();
-      os << "{\"name\":\"process_name\",";
-      emit_common(os, "M", 0, static_cast<int>(i) + 1, 0);
-      os << ",\"args\":{\"name\":" << json_quote(actors[i]) << "}}";
+      os << "{\"name\":\"thread_name\",";
+      emit_common(os, "M", 0, pid, static_cast<int>(t));
+      os << ",\"args\":{\"name\":\"lane-" << t << "\"}}";
     }
-    for (const auto& [pid, lanes] : lanes_of) {
-      for (std::size_t t = 0; t < lanes.size(); ++t) {
-        sep();
-        os << "{\"name\":\"thread_name\",";
-        emit_common(os, "M", 0, pid, static_cast<int>(t));
-        os << ",\"args\":{\"name\":\"lane-" << t << "\"}}";
-      }
-    }
-    if (with_instants) {
-      std::map<int, bool> instant_pids;
-      for (const Event& e : events->events())
-        instant_pids[pid_for(e.actor)] = true;
-      for (const auto& [pid, unused] : instant_pids) {
-        (void)unused;
-        sep();
-        os << "{\"name\":\"thread_name\",";
-        emit_common(os, "M", 0, pid, instant_tid(pid));
-        os << ",\"args\":{\"name\":\"events\"}}";
-      }
+  }
+  if (with_instants) {
+    std::map<int, bool> instant_pids;
+    for (const Event& e : events->events())
+      instant_pids[pid_for(e.actor)] = true;
+    for (const auto& [pid, unused] : instant_pids) {
+      (void)unused;
+      sep();
+      os << "{\"name\":\"thread_name\",";
+      emit_common(os, "M", 0, pid, instant_tid(pid));
+      os << ",\"args\":{\"name\":\"events\"}}";
     }
   }
 

@@ -40,7 +40,6 @@ class Telemetry;
 class TraceExporter {
  public:
   struct Options {
-    bool include_metadata = true;  ///< process_name / thread_name events
     bool include_instants = true;  ///< EventLog entries as "i" events
   };
 

@@ -24,8 +24,12 @@ void BulkDemandGenerator::schedule_next(SimTime until) {
         rng.uniform(std::log(static_cast<double>(params_.min_bytes)),
                     std::log(static_cast<double>(params_.max_bytes)));
     const auto bytes = static_cast<std::int64_t>(std::exp(log_bytes));
-    const SimTime ideal = transfer_time(bytes, params_.reference_rate);
-    const double slack = rng.uniform(params_.min_slack, params_.max_slack);
+    // Deadline = now + slack x ideal duration at the reference rate.
+    constexpr DataRate kReferenceRate = rates::k10G;
+    constexpr double kMinSlack = 1.5;
+    constexpr double kMaxSlack = 6.0;
+    const SimTime ideal = transfer_time(bytes, kReferenceRate);
+    const double slack = rng.uniform(kMinSlack, kMaxSlack);
     bod::TransferScheduler::TransferRequest req;
     req.customer = ep.customer;
     req.src_site = ep.src;

@@ -4,9 +4,9 @@
 // data transfers" of terabytes with business deadlines — as a Poisson
 // arrival stream of TransferScheduler requests: random site pair, a volume
 // drawn log-uniformly between configured bounds, and a deadline set to a
-// multiple of the transfer's ideal duration at the reference rate (the
-// slack factor controls how tight the deadlines are, i.e. how contended
-// the calendar gets).
+// multiple of the transfer's ideal duration at 10G (the slack factor
+// controls how tight the deadlines are, i.e. how contended the calendar
+// gets).
 #pragma once
 
 #include <utility>
@@ -22,10 +22,6 @@ class BulkDemandGenerator {
     double arrivals_per_hour = 6.0;
     std::int64_t min_bytes = 500LL * 1'000'000'000;    ///< 0.5 TB
     std::int64_t max_bytes = 20'000LL * 1'000'000'000;  ///< 20 TB
-    /// Deadline = now + slack x ideal duration at `reference_rate`.
-    double min_slack = 1.5;
-    double max_slack = 6.0;
-    DataRate reference_rate = rates::k10G;
     bod::Priority priority = bod::Priority::kBestEffortBulk;
     /// (customer, src, dst) triples demand is drawn from uniformly; the
     /// customer must have a portal registered with the scheduler.

@@ -372,7 +372,7 @@ Alarm line_alarm(std::uint64_t id, AlarmType type, LinkId link,
 
 TEST(FailureCorrelation, BothEndsInsideWindowLocalizeOnce) {
   sim::Engine engine;
-  core::FailureManager fm(&engine, core::FailureManager::Params{});
+  core::FailureManager fm(&engine);
   int events = 0;
   std::vector<LinkId> last;
   fm.on_failure([&](const core::FailureManager::FailureEvent& event) {
@@ -395,7 +395,7 @@ TEST(FailureCorrelation, BothEndsInsideWindowLocalizeOnce) {
 
 TEST(FailureCorrelation, StragglerOutsideWindowDoesNotRelocalize) {
   sim::Engine engine;
-  core::FailureManager fm(&engine, core::FailureManager::Params{});
+  core::FailureManager fm(&engine);
   int failures = 0;
   int repairs = 0;
   fm.on_failure(
@@ -430,7 +430,7 @@ TEST(FailureCorrelation, StragglerOutsideWindowDoesNotRelocalize) {
 
 TEST(FailureCorrelation, ReorderedInterleavedAlarmsGroupIntoOneEvent) {
   sim::Engine engine;
-  core::FailureManager fm(&engine, core::FailureManager::Params{});
+  core::FailureManager fm(&engine);
   int events = 0;
   std::set<LinkId> seen;
   fm.on_failure([&](const core::FailureManager::FailureEvent& event) {

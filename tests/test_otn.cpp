@@ -303,7 +303,7 @@ TEST(OtnLayer, SharedMeshUsesLessCapacityThanDedicated) {
 TEST(MeshRestorer, SubSecondAutonomousRestoration) {
   sim::Engine engine(5);
   LayerFixture f;
-  MeshRestorer restorer(&engine, &f.layer, MeshRestorer::Params{});
+  MeshRestorer restorer(&engine, &f.layer);
   const auto id = f.layer
                       .create_circuit({CustomerId{1}, f.t.i, f.t.iv,
                                        rates::k1G, true})
@@ -327,7 +327,7 @@ TEST(MeshRestorer, SubSecondAutonomousRestoration) {
 TEST(MeshRestorer, UnprotectedCircuitIgnored) {
   sim::Engine engine(5);
   LayerFixture f;
-  MeshRestorer restorer(&engine, &f.layer, MeshRestorer::Params{});
+  MeshRestorer restorer(&engine, &f.layer);
   (void)f.layer.create_circuit(
       {CustomerId{1}, f.t.i, f.t.iv, rates::k1G, false});
   bool called = false;
@@ -341,7 +341,7 @@ TEST(MeshRestorer, UnprotectedCircuitIgnored) {
 TEST(MeshRestorer, ReportsRevertEligibility) {
   sim::Engine engine(5);
   LayerFixture f;
-  MeshRestorer restorer(&engine, &f.layer, MeshRestorer::Params{});
+  MeshRestorer restorer(&engine, &f.layer);
   const auto id = f.layer
                       .create_circuit({CustomerId{1}, f.t.i, f.t.iv,
                                        rates::k1G, true})

@@ -14,6 +14,7 @@
 #include <optional>
 #include <set>
 #include <iterator>
+#include <new>
 #include <string>
 #include <variant>
 #include <vector>
@@ -550,14 +551,26 @@ struct ScriptedLifecycle {
 
 TEST(SpanStore, ScriptedLifecycleRendersTheSameBytes) {
   const ScriptedLifecycle run;
-  EXPECT_EQ(run.tel.spans().spans().size(), 93u);
+  EXPECT_EQ(run.tel.spans().spans().size(), 102u);
   EXPECT_EQ(run.tel.spans().open_count(), 0u);
-  EXPECT_EQ(fnv1a(run.tel.spans().to_json()), 10873822497200778382ull);
-  EXPECT_EQ(fnv1a(TraceExporter{}.to_json(run.tel)), 18147925568461926955ull);
-  EXPECT_EQ(fnv1a(run.timelines()), 16979669688828955255ull);
+  EXPECT_EQ(fnv1a(run.tel.spans().to_json()), 1915460913123618129ull);
+  EXPECT_EQ(fnv1a(TraceExporter{}.to_json(run.tel)), 11646455857434338889ull);
+  EXPECT_EQ(fnv1a(run.timelines()), 11597681456890342251ull);
   // The vetoed activation's error reached both its command span and the
   // setup it failed.
   EXPECT_NE(run.timelines().find("| chaos: activation vetoed"), npos);
+  // The failed setup's undo dialogues are its children too, so its
+  // children account for it up to its last instant.
+  const Span* vetoed = nullptr;
+  for (const Span& sp : run.tel.spans().spans())
+    if (sp.name == "connection_setup" && !sp.ok) vetoed = &sp;
+  ASSERT_NE(vetoed, nullptr);
+  SimTime last_child_end{};
+  for (const Span& sp : run.tel.spans().spans())
+    if (sp.parent == vetoed->id)
+      last_child_end = std::max(last_child_end, sp.end);
+  EXPECT_EQ(last_child_end, vetoed->end);
+  EXPECT_EQ(last_child_end - vetoed->start, microseconds(32'078'330));
 }
 
 TEST(SpanStore, PoolHoldsTheVocabularyNotTheSpans) {
@@ -650,6 +663,51 @@ TEST(MetricHandles, ArmedHotPathsResolveNothingByNameAfterWarmUp) {
     ASSERT_EQ(series.size(), 2u) << family;
     for (const Counter* c : series) EXPECT_EQ(c->value(), 4u) << family;
   }
+
+  // Failure handling: cut a fiber under a restorable connection, let it
+  // restore, roll it off the restored path, repair the fiber and audit.
+  // I and III are joined by three disjoint routes, so every round finds
+  // both a restoration and a roll target.
+  std::optional<ConnectionId> held;
+  s.portal->connect(s.site_i, s.site_iii, rates::k10G,
+                    core::ProtectionMode::kRestorable,
+                    [&](Result<ConnectionId> r) {
+                      ASSERT_TRUE(r.ok());
+                      held = r.value();
+                    });
+  s.engine.run_until(s.engine.now() + minutes(5));
+  ASSERT_TRUE(held.has_value());
+  const auto settle = [&] {
+    s.engine.run_until(s.engine.now() + minutes(10));
+  };
+  const auto failure_round = [&] {
+    const LinkId cut =
+        s.controller->connection(*held).plan.path.links.front();
+    s.model->fail_link(cut);
+    settle();
+    ASSERT_TRUE(s.controller->connection(*held).is_up());
+    std::optional<Status> rolled;
+    s.controller->bridge_and_roll(*held, {}, [&](Status st) { rolled = st; });
+    settle();
+    ASSERT_TRUE(rolled && rolled->ok());
+    s.model->repair_link(cut);
+    settle();
+    std::optional<bool> audited;
+    s.controller->resync([&](Result<core::GriphonController::ResyncReport> r) {
+      audited = r.ok();
+    });
+    settle();
+    ASSERT_TRUE(audited && *audited);
+  };
+  failure_round();  // warm-up: the failure-path series register
+  const std::uint64_t warm_failures = m.by_name_calls();
+  const std::size_t restorations = s.controller->stats().restorations_ok;
+  for (int i = 0; i < 2; ++i) failure_round();
+  EXPECT_EQ(s.controller->stats().restorations_ok, restorations + 2);
+  EXPECT_EQ(m.by_name_calls(), warm_failures);
+  const Counter* rolls = m.find_counter("griphon_controller_rolls_ok_total");
+  ASSERT_NE(rolls, nullptr);
+  EXPECT_EQ(rolls->value(), 3u);
 }
 
 TEST(MetricHandles, CachedLookupRerunsOnlyAfterARegistration) {
@@ -668,6 +726,20 @@ TEST(MetricHandles, CachedLookupRerunsOnlyAfterARegistration) {
   // Another registry is another answer, even with nothing new in it.
   MetricsRegistry other;
   EXPECT_EQ(lookup(other), nullptr);
+}
+
+TEST(MetricHandles, ARegistryBuiltAtAFreedOnesAddressIsAnotherRegistry) {
+  CachedCounter hits("griphon_test_hits_total", "hits");
+  alignas(MetricsRegistry) unsigned char slot[sizeof(MetricsRegistry)];
+  auto* first = new (slot) MetricsRegistry;
+  hits.in(*first).inc();
+  first->~MetricsRegistry();
+  auto* second = new (slot) MetricsRegistry;  // the freed one's address
+  hits.in(*second).inc(2);
+  const Counter* counted = second->find_counter("griphon_test_hits_total");
+  ASSERT_NE(counted, nullptr);
+  EXPECT_EQ(counted->value(), 2u);
+  second->~MetricsRegistry();
 }
 
 TEST(MetricHandles, KeyedCountersRegisterEachKeyOnce) {

@@ -8,10 +8,15 @@ Checks (DESIGN.md §10):
                    [a-z0-9_], >= 3 tokens), and <layer> must come from the
                    known-layer allowlist (KNOWN_LAYERS below — includes the
                    observability families `griphon_slo_*` and
-                   `griphon_sampler_*`). Literal name arguments are checked
-                   in full; dynamic names built from a literal prefix (e.g.
-                   "griphon_ems_" + domain + "_suffix") have prefix and
-                   suffix literals checked against the same grammar.
+                   `griphon_sampler_*`). Every "griphon_..." literal in
+                   src/ is checked in full, wherever it appears: passed to
+                   counter()/gauge()/histogram() or held by a cached handle
+                   (CachedCounter{...}, KeyedCounters{...},
+                   CachedLookup(...)). Other literals passed to a register
+                   call are checked too. Dynamic names built from a literal
+                   prefix (e.g. "griphon_ems_" + domain + "_suffix") have
+                   prefix and suffix literals checked against the same
+                   grammar.
   banned-call      Library code under src/ must not call rand()/srand()
                    (use griphon::Rng), time() (use sim::Engine::now()), or
                    write to std::cout (route through telemetry).
@@ -57,6 +62,17 @@ Checks (DESIGN.md §10):
                    them from EmsServer::name(), so the controller's breaker
                    keys, span actors and probes cannot drift apart.
                    Comments are exempt.
+  unset-knob       Every field of a `Params`, `Config`, `Options` or
+                   `*Policy` struct in a src/ header is set somewhere in
+                   src/, tests/, bench/ or examples/: assigned directly
+                   (`p.field =`), through nested access
+                   (`p.outer.field =`), by a designated initializer, or
+                   by a positional aggregate initializer (`Params{a, b}`
+                   sets the first two fields). A knob nothing sets has one
+                   value and belongs in a constexpr at its use. Fields
+                   match by name, so a name set on another struct hides an
+                   unset one; a positional initializer is seen only where
+                   the struct's name precedes its braces.
 
 Usage:
     tools/griphon_lint.py [--report griphon_lint_report.txt] [paths...]
@@ -231,7 +247,7 @@ REGISTER_DYNAMIC_RE = re.compile(
     r"\"(?P<suffix>[^\"]*)\"",
     re.S,
 )
-GRIPHON_LITERAL_RE = re.compile(r"\"(?P<lit>griphon_[a-z0-9_]*)\"")
+GRIPHON_LITERAL_RE = re.compile(r"\"(?P<lit>griphon_[^\"]*)\"")
 
 # The scheme implementation and its tests legitimately mention bare
 # "griphon_" fragments (name_ok parsing, negative test cases).
@@ -245,36 +261,38 @@ def line_of(text: str, pos: int) -> int:
     return text.count("\n", 0, pos) + 1
 
 
+def check_metric_name(findings: list[Finding], path: str, text: str,
+                      pos: int, name: str, what: str) -> None:
+    """Findings for one metric name (or, ending in `_`, a name prefix)."""
+    prefix = name.endswith("_")
+    if not (PREFIX_NAME_RE if prefix else FULL_NAME_RE).match(name):
+        message = (f'{what} "{name}" must be griphon_<layer>_...' if prefix
+                   else f'"{name}" violates griphon_<layer>_<name> '
+                   "(lower-case, >= 3 tokens)")
+    elif layer_of(name) not in KNOWN_LAYERS:
+        message = (f'{what + " " if prefix else ""}"{name}": layer '
+                   f'"{layer_of(name)}" is not in the known-layer allowlist '
+                   "(add to KNOWN_LAYERS in tools/griphon_lint.py if "
+                   "intentional)")
+    else:
+        return
+    findings.append(
+        Finding(path, line_of(text, pos), "metric-name", message))
+
+
 def check_metric_names(findings: list[Finding]) -> None:
     for path in repo_files(("src",), (".cpp", ".hpp")):
         rel = os.path.relpath(path, REPO_ROOT)
         if rel in METRIC_NAME_EXEMPT:
             continue
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            text = strip_comments(fh.read(), keep_strings=True)
+        # Literal names outside the griphon_ namespace, where they are
+        # registered; griphon_* literals are checked wherever they appear.
         for m in REGISTER_LITERAL_RE.finditer(text):
-            name = m.group("name")
-            if not FULL_NAME_RE.match(name):
-                findings.append(
-                    Finding(
-                        path,
-                        line_of(text, m.start()),
-                        "metric-name",
-                        f'"{name}" violates griphon_<layer>_<name> '
-                        "(lower-case, >= 3 tokens)",
-                    )
-                )
-            elif layer_of(name) not in KNOWN_LAYERS:
-                findings.append(
-                    Finding(
-                        path,
-                        line_of(text, m.start()),
-                        "metric-name",
-                        f'"{name}": layer "{layer_of(name)}" is not in the '
-                        "known-layer allowlist (add to KNOWN_LAYERS in "
-                        "tools/griphon_lint.py if intentional)",
-                    )
-                )
+            if not m.group("name").startswith("griphon_"):
+                check_metric_name(findings, path, text, m.start(),
+                                  m.group("name"), "metric name")
         for m in REGISTER_DYNAMIC_RE.finditer(text):
             suffix = m.group("suffix")
             if not SUFFIX_NAME_RE.match(suffix):
@@ -287,34 +305,13 @@ def check_metric_names(findings: list[Finding]) -> None:
                         "lower-case [a-z0-9_] tokens",
                     )
                 )
-        # Any griphon_* literal ending in '_' is a name prefix feeding a
-        # dynamic registration; it must itself be scheme-conformant.
+        # Every griphon_* literal is a metric name: registered directly,
+        # held by a cached handle (CachedCounter{...}, KeyedCounters{...},
+        # CachedLookup(...)) or, ending in '_', a prefix feeding a dynamic
+        # registration.
         for m in GRIPHON_LITERAL_RE.finditer(text):
-            lit = m.group("lit")
-            if not lit.endswith("_"):
-                continue
-            if not PREFIX_NAME_RE.match(lit):
-                findings.append(
-                    Finding(
-                        path,
-                        line_of(text, m.start()),
-                        "metric-name",
-                        f'metric-name prefix "{lit}" must be '
-                        "griphon_<layer>_...",
-                    )
-                )
-            elif layer_of(lit) not in KNOWN_LAYERS:
-                findings.append(
-                    Finding(
-                        path,
-                        line_of(text, m.start()),
-                        "metric-name",
-                        f'metric-name prefix "{lit}": layer '
-                        f'"{layer_of(lit)}" is not in the known-layer '
-                        "allowlist (add to KNOWN_LAYERS in "
-                        "tools/griphon_lint.py if intentional)",
-                    )
-                )
+            check_metric_name(findings, path, text, m.start(),
+                              m.group("lit"), "metric-name prefix")
 
 
 # --- banned-call ------------------------------------------------------------
@@ -665,6 +662,168 @@ def check_ems_domain_name(findings: list[Finding]) -> None:
                 findings.append(f)
 
 
+# --- unset-knob -------------------------------------------------------------
+
+# A configuration struct: Params, Config, Options or any *Policy.
+KNOB_STRUCT_RE = re.compile(
+    r"\bstruct\s+(?P<name>Params|Config|Options|\w+Policy)\s*\{")
+TYPE_DEF_RE = re.compile(r"\b(?:struct|class)\s+(?P<name>\w+)[^;{()]*\{")
+# Statements inside a struct body that declare no data member.
+NOT_A_FIELD_RE = re.compile(
+    r"^(?:using|typedef|static|friend|template|struct|class|enum|union)\b")
+# An assignment through a member-access chain: every member named in the
+# chain is set (`p.field =`, and `p.outer.field =` sets `outer` too).
+ASSIGN_CHAIN_RE = re.compile(
+    r"((?:(?:\.|->)\s*\w+\s*(?:\[[^\]]*\]\s*)*)+)"
+    r"(?:[-+*/%|&^]|<<|>>)?=(?!=)")
+POSITIONAL_INIT_RE = r"\b{name}\b\s*(?:\w+\s*)?(?:=\s*)?\{{"
+QUALIFIER_RE = re.compile(r"(?:\b(?P<outer>\w+)\s*::\s*|\bstruct\s+)$")
+
+
+def closing_brace(text: str, open_at: int) -> int:
+    """Offset of the brace closing the one at `open_at`."""
+    depth = 0
+    for i in range(open_at, len(text)):
+        if text[i] in "({[":
+            depth += 1
+        elif text[i] in ")}]":
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(text) - 1
+
+
+def struct_fields(body: str) -> list[tuple[str, int]]:
+    """(name, offset) of every data member declared at the top level of a
+    struct body (comments and strings already blanked). Nested types,
+    member functions, aliases and static members are skipped."""
+    fields: list[tuple[str, int]] = []
+    depth = 0
+    start = 0
+
+    def finish(stmt: str, at: int) -> None:
+        stmt = re.sub(r"\[\[.*?\]\]", " ", stmt).strip()
+        stmt = re.sub(r"^(?:public|private|protected)\s*:", "", stmt).strip()
+        if not stmt or NOT_A_FIELD_RE.match(stmt) or "operator" in stmt:
+            return
+        # The declarator ends where its initializer starts.
+        d = 0
+        for i, ch in enumerate(stmt):
+            if ch in "([":
+                d += 1
+            elif ch in ")]":
+                d -= 1
+            elif d == 0 and ch in "={":
+                stmt = stmt[:i]
+                break
+        if "(" in stmt:
+            return  # a member function
+        m = re.search(r"(\w+)\s*(?:\[[^\]]*\])?\s*$", stmt)
+        if m and not m.group(1).isdigit():
+            fields.append((m.group(1), at + body[at:].find(m.group(1))))
+
+    for i, ch in enumerate(body):
+        if ch in "({[":
+            depth += 1
+        elif ch in ")}]":
+            depth -= 1
+            # An inline member function body ends its declaration with no
+            # trailing ';'.
+            if depth == 0 and ch == "}":
+                head = body[start:i]
+                head = head[:head.find("{")] if "{" in head else head
+                if "(" in head and "=" not in head:
+                    start = i + 1
+        elif ch == ";" and depth == 0:
+            finish(body[start:i], start)
+            start = i + 1
+    return fields
+
+
+def knob_structs(text: str) -> list[tuple[str, str, list[tuple[str, int]]]]:
+    """(enclosing type, struct name, fields) of every configuration struct
+    defined in a header."""
+    types = []
+    for m in TYPE_DEF_RE.finditer(text):
+        open_at = m.end() - 1
+        types.append((m.group("name"), open_at, closing_brace(text, open_at)))
+    out = []
+    for m in KNOB_STRUCT_RE.finditer(text):
+        open_at = m.end() - 1
+        close = closing_brace(text, open_at)
+        outer = ""
+        for name, a, b in types:
+            if a < m.start() and close <= b:
+                outer = name  # innermost wins: later starts nest deeper
+        body = text[open_at + 1:close]
+        fields = [(f, open_at + 1 + off) for f, off in struct_fields(body)]
+        out.append((outer, m.group("name"), fields))
+    return out
+
+
+def positional_inits(texts: list[str], name: str) -> list[tuple[str, int]]:
+    """(qualifier, element count) of every positional aggregate
+    initializer of a struct called `name` across `texts`; the qualifier is
+    the enclosing type named before `::`, or "" when unqualified. The
+    fields such an initializer sets are the first `count` ones."""
+    pattern = re.compile(POSITIONAL_INIT_RE.format(name=re.escape(name)))
+    out = []
+    for text in texts:
+        for m in pattern.finditer(text):
+            q = QUALIFIER_RE.search(text, max(0, m.start() - 80), m.start())
+            if q and q.group("outer") is None:
+                continue  # `struct Name {`: the definition itself
+            open_at = m.end() - 1
+            inner = text[open_at + 1:closing_brace(text, open_at)].strip()
+            if not inner or inner.startswith("."):
+                continue  # empty, or designated (seen as `.field =`)
+            depth = 0
+            count = 1
+            for ch in inner:
+                if ch in "({[<":
+                    depth += 1
+                elif ch in ")}]>":
+                    depth -= 1
+                elif ch == "," and depth == 0:
+                    count += 1
+            out.append((q.group("outer") if q else "", count))
+    return out
+
+
+def check_unset_knobs(findings: list[Finding]) -> None:
+    texts = []
+    assigned: set[str] = set()
+    for path in repo_files(SOURCE_DIRS, (".cpp", ".hpp", ".h")):
+        with open(path, encoding="utf-8") as fh:
+            texts.append(strip_comments(fh.read()))
+        for m in ASSIGN_CHAIN_RE.finditer(texts[-1]):
+            assigned.update(re.findall(r"(?:\.|->)\s*(\w+)", m.group(1)))
+    inits: dict[str, list[tuple[str, int]]] = {}
+    for path in repo_files(("src",), (".hpp",)):
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read()
+        text = strip_comments(raw)
+        raw_lines = raw.splitlines()
+        for outer, name, fields in knob_structs(text):
+            if name not in inits:
+                inits[name] = positional_inits(texts, name)
+            positional = max((n for q, n in inits[name] if q in ("", outer)),
+                             default=0)
+            for index, (field, at) in enumerate(fields):
+                if index < positional or field in assigned:
+                    continue
+                f = Finding(
+                    path,
+                    line_of(text, at),
+                    "unset-knob",
+                    f"{outer + '::' if outer else ''}{name}::{field} is "
+                    "set nowhere in src/, tests/, bench/ or examples/ — "
+                    "make it a constexpr at its use",
+                )
+                if not allowed(raw_lines, f):
+                    findings.append(f)
+
+
 # --- self-test --------------------------------------------------------------
 
 # (fixture source, relative path, check, expected finding count). Each bad
@@ -739,6 +898,41 @@ SELF_TEST_FIXTURES = (
         "ems-domain-name",
         0,  # the one place the servers are named
     ),
+    (
+        'KeyedCounters bad_case{"griphon_Bod_x_total", "h"};\n'
+        'CachedCounter bad_layer{"griphon_nolayer_x_total", "h"};\n'
+        'CachedLookup<const Counter*> too_short("griphon_bod");\n'
+        'CachedCounter fine{"griphon_bod_ok_total", "h"};\n'
+        'm.counter("bad_name", "h");\n'
+        '// a comment may say "griphon_Nope"\n',
+        os.path.join("src", "bod", "fixture_metric_names.cpp"),
+        "metric-name",
+        4,  # handle initializers count; the good name and comment do not
+    ),
+    (
+        "#pragma once\n"
+        "struct Widget {\n"
+        "  struct Params {\n"
+        "    int positional = 1;\n"
+        "    int direct = 2;\n"
+        "    int unset = 3;\n"
+        "    int waived = 4;  // griphon-lint: allow(unset-knob) fixture\n"
+        "    static constexpr int kNotAField = 5;\n"
+        "    struct Inner { int x = 0; };\n"
+        "    int helper() const { return 0; }\n"
+        "  };\n"
+        "  struct RetryPolicy { int nested = 1; int forgotten = 2; };\n"
+        "  struct Options { RetryPolicy retry; };\n"
+        "};\n"
+        "inline void use(Widget::Params& p, Widget::Options& o) {\n"
+        "  Widget::Params q{7};\n"
+        "  p.direct = q.positional;\n"
+        "  o.retry.nested = 3;\n"
+        "}\n",
+        os.path.join("src", "core", "fixture_knob.hpp"),
+        "unset-knob",
+        2,  # unset and forgotten; set, nested, waived and non-fields pass
+    ),
 )
 
 
@@ -760,6 +954,8 @@ def self_test() -> int:
             "mutable-global": check_mutable_global,
             "conn-state": check_conn_state,
             "ems-domain-name": check_ems_domain_name,
+            "metric-name": check_metric_names,
+            "unset-knob": check_unset_knobs,
         }
         for source, rel, check, expected in SELF_TEST_FIXTURES:
             case_dir = os.path.join(tmp, os.path.dirname(rel))
@@ -798,6 +994,7 @@ CHECKS = {
     "mutable-global": check_mutable_global,
     "conn-state": check_conn_state,
     "ems-domain-name": check_ems_domain_name,
+    "unset-knob": check_unset_knobs,
 }
 
 
